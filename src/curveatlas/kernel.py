@@ -4,14 +4,16 @@ sparse bivariate polynomials with integer coefficients.
 Rationals are ``fractions.Fraction`` throughout: it already guarantees the
 canonical form we need (positive denominator, gcd(num, den) = 1, structural
 equality, hashable).  This module adds the pieces the rest of the package
-needs on top of that: exact square roots, quadratic extension elements
-a + b*sqrt(m), and polynomial evaluation that stays exact over either field.
+needs on top of that: exact square roots, integer roots of univariate
+integer polynomials, quadratic extension elements a + b*sqrt(m), and
+polynomial evaluation that stays exact over either field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Mapping, Optional, Union
 
@@ -32,22 +34,48 @@ def integer_sqrt(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
+def _square_residues(m: int) -> bytes:
+    table = bytearray(m)
+    for k in range(m):
+        table[k * k % m] = 1
+    return bytes(table)
+
+
+_SQ64 = _square_residues(64)
+_SQ63 = _square_residues(63)
+_SQ65 = _square_residues(65)
+
+
+def maybe_square(n: int) -> bool:
+    """False when the nonnegative integer n is certainly not a perfect
+    square: it is not a square modulo 64, 63 or 65.  True is no proof; it
+    only means an exact test is still needed."""
+    return bool(_SQ64[n & 63] and _SQ63[n % 63] and _SQ65[n % 65])
+
+
+def integer_root(n: int, k: int) -> int:
+    """Floor of the real k-th root of a nonnegative integer n (k >= 1)."""
+    if n < 0 or k < 1:
+        raise ValueError("integer_root needs n >= 0 and k >= 1")
+    if n == 0 or k == 1:
+        return n
+    # Newton iteration on integers, seeded from the bit length.
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x**k > n:
+        x -= 1
+    return x
+
+
 def integer_cbrt(n: int) -> int:
     """Floor of the real cube root of n (sign-symmetric for negative n)."""
     if n < 0:
         return -integer_cbrt_ceilneg(-n)
-    if n == 0:
-        return 0
-    # Newton iteration on integers, seeded from the bit length.
-    x = 1 << (n.bit_length() // 3 + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
+    return integer_root(n, 3)
 
 
 def integer_cbrt_ceilneg(n: int) -> int:
@@ -77,6 +105,85 @@ def rational_sqrt(x: Rational) -> Optional[Rational]:
     return Fraction(rn, rd)
 
 
+def integer_roots(coeffs: Mapping[int, int]) -> list[int]:
+    """Sorted distinct integer roots of sum c_j y^j with integer coefficients.
+
+    Exact and complete, integers only.  Every complex root lies within an
+    integer Fujiwara bound R.  The real roots of f' bracket f into pieces on
+    which f is strictly monotone, so f has at most one root in each piece
+    and integer bisection on a sign change pins it between consecutive
+    integers; the integer roots are then the bracket endpoints k with
+    f(k) == 0.  By Gauss-Lucas the roots of every derivative also lie
+    within R, so one bound serves the whole recursion.
+    """
+    coeffs = {j: c for j, c in coeffs.items() if c != 0}
+    if not coeffs:
+        raise ValueError("the zero polynomial has every integer as a root")
+    if min(coeffs) < 0:
+        raise ValueError("negative exponent")
+    low_to_high = [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+    bound = _fujiwara_bound(low_to_high)
+    return [
+        k for k in _root_brackets(low_to_high, bound)
+        if _eval_int(low_to_high, k) == 0
+    ]
+
+
+def _fujiwara_bound(low_to_high: list) -> int:
+    """An integer R >= 1 with |r| <= R for every complex root r:
+    2 * max(|a_{n-k}/a_n|^(1/k) for k < n, |a_0/(2 a_n)|^(1/n)),
+    with every quotient and root rounded up."""
+    n = len(low_to_high) - 1
+    lead = abs(low_to_high[n])
+    best = 0
+    for k in range(1, n + 1):
+        den = 2 * lead if k == n else lead
+        ratio = -(-abs(low_to_high[n - k]) // den)
+        r = integer_root(ratio, k)
+        if r**k < ratio:
+            r += 1
+        best = max(best, r)
+    return max(1, 2 * best)
+
+
+def _eval_int(low_to_high: list, x: int) -> int:
+    acc = 0
+    for c in reversed(low_to_high):
+        acc = acc * x + c
+    return acc
+
+
+def _root_brackets(low_to_high: list, bound: int) -> list:
+    """Sorted integers in [-bound, bound] that include floor(r) and ceil(r)
+    of every real root r of the polynomial, all of whose roots lie within
+    bound."""
+    if len(low_to_high) == 1:
+        return [-bound, bound]
+    derivative = [j * c for j, c in enumerate(low_to_high)][1:]
+    points = _root_brackets(derivative, bound)
+    out = set(points)
+    for a, b in zip(points, points[1:]):
+        # with b - a >= 2 no root of f' lies in (a, b): f is strictly monotone
+        if b - a < 2:
+            continue
+        fa = _eval_int(low_to_high, a)
+        fb = _eval_int(low_to_high, b)
+        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
+            continue
+        lo, hi = a, b
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = _eval_int(low_to_high, mid)
+            if (fm > 0) == (fa > 0):
+                lo = mid
+            else:
+                hi = mid
+        out.add(lo)
+        out.add(hi)
+    return sorted(out)
+
+
+@lru_cache(maxsize=4096)
 def is_squarefree(n: int) -> bool:
     if n <= 0:
         return False

@@ -3,13 +3,19 @@ hyperelliptic model KS, and integral points in x-boxes on K1/K3.
 
 KS search: w^2 = f(z) makes the z-height the complete parameter; for every
 reduced z = p/q with |p| <= H and 1 <= q <= H the value f(z) is computed
-exactly and tested for rational squareness.  Work splits into residue
-classes of p for reproducible parallel chunks.
+exactly and tested for rational squareness.  Since f(p/q) = n/q^6 with the
+integer n = 2p*e*q, f(p/q) is a square in Q iff n is a perfect square.  A
+cheap prefilter rejects n < 0 and n that are not quadratic residues mod 64,
+63 and 65 (necessary conditions only); every survivor is decided by the
+exact ``rational_sqrt`` test.  Work splits into residue classes of p for
+reproducible parallel chunks.
 
 Integral search: for each integer x in [-B, B] the curve polynomial
 specializes to a monic (in y) integer quartic whose integer roots are
-extracted exactly (sympy's rational-root machinery); no scan bound on y is
-needed since integer roots of a monic integer polynomial are finite and
+extracted exactly by ``integer_roots``: the real roots of the derivatives
+bracket the quartic into monotone pieces, and integer bisection inside each
+piece, within an integer Fujiwara bound, pins every root.  No scan bound on
+y is needed since integer roots of a monic integer polynomial are finite and
 found exactly.
 """
 
@@ -23,10 +29,8 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-import sympy
-
-from .curves import CurveId, PointRecord, Provenance, is_on_curve
-from .kernel import rational_sqrt
+from .curves import CurveId, PointRecord, Provenance, defining_poly, is_on_curve
+from .kernel import integer_roots, maybe_square, rational_sqrt
 
 
 class SearchMode(enum.Enum):
@@ -83,17 +87,18 @@ def _ks_scan_class(args) -> Tuple[List[Tuple[Fraction, Fraction]], int]:
     H, residue, partitions = args
     hits: List[Tuple[Fraction, Fraction]] = []
     scanned = 0
-    for p in range(-H, H + 1):
-        if p % partitions != residue:
-            continue
+    for p in range(-H + (residue + H) % partitions, H + 1, partitions):
+        # e = p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4, by Horner in q
+        c3, c2, c1, c0 = 4 * p, 2 * p * p, 4 * p**3, p**4
         for q in range(1, H + 1):
-            if gcd(abs(p), q) != 1:
+            if gcd(p, q) != 1:
                 continue
             scanned += 1
-            # f(p/q) = 2p(p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4) / q^5
-            e = p * (p * (p * (p + 4 * q) - 2 * q * q) + 4 * q**3) + q**4
-            num = 2 * p * e
+            # f(p/q) = 2p*e / q^5 = n / q^6 with n = 2p*e*q
+            num = 2 * p * ((((q + c3) * q - c2) * q + c1) * q + c0)
             if num < 0:
+                continue
+            if not maybe_square(num * q):
                 continue
             r = rational_sqrt(Fraction(num, q**5))
             if r is None:
@@ -140,28 +145,13 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
 
 def _integral_scan_class(args) -> Tuple[List[Tuple[Fraction, Fraction]], int]:
     curve_name, B, residue, partitions = args
-    curve = CurveId[curve_name]
-    from .curves import defining_poly
-
-    poly = defining_poly(curve)
-    y = sympy.Symbol("y")
+    poly = defining_poly(CurveId[curve_name])
     hits: List[Tuple[Fraction, Fraction]] = []
     scanned = 0
-    for x0 in range(-B, B + 1):
-        if x0 % partitions != residue:
-            continue
+    for x0 in range(-B + (residue + B) % partitions, B + 1, partitions):
         scanned += 1
-        coeffs = poly.specialize_x(x0)
-        expr = sympy.Poly(
-            {(j,): c for j, c in coeffs.items()}, y, domain=sympy.ZZ
-        ) if coeffs else None
-        if expr is None:
-            continue
-        for root, _mult in expr.ground_roots().items():
-            r = sympy.Rational(root)
-            if r.q != 1:
-                continue
-            hits.append((Fraction(x0), Fraction(int(r.p))))
+        for y0 in integer_roots(poly.specialize_x(x0)):
+            hits.append((Fraction(x0), Fraction(y0)))
     return hits, scanned
 
 

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import curveatlas
 from curveatlas.cli import build_parser, main
 
 
@@ -145,3 +150,14 @@ class TestParser:
 
     def test_parser_builds(self):
         assert build_parser().prog == "curveatlas"
+
+
+def test_cli_import_does_not_load_sympy():
+    # sympy is a test-only dependency; importing it costs ~0.3 s of start-up
+    src = str(Path(curveatlas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, curveatlas.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

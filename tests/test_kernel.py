@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curveatlas.curves import CurveId, defining_poly
 from curveatlas.kernel import (
-    BivarPoly, MixedRadicandError, QuadRat, integer_cbrt, rational_sqrt,
+    BivarPoly, MixedRadicandError, QuadRat, integer_cbrt, integer_root,
+    integer_roots, integer_sqrt, is_squarefree, maybe_square, rational_sqrt,
 )
 
 
@@ -76,6 +79,94 @@ def test_integer_cbrt():
     assert integer_cbrt(big - 1) == 640319
 
 
+def test_maybe_square_never_rejects_a_square():
+    rng = random.Random(63)
+    roots = list(range(5000)) + [rng.randint(0, 10**30) for _ in range(2000)]
+    assert all(maybe_square(r * r) for r in roots)
+    non_squares = [n for n in range(10**5) if integer_sqrt(n) is None]
+    rejected = sum(not maybe_square(n) for n in non_squares)
+    assert rejected > 0.95 * len(non_squares)
+
+
+def test_integer_root():
+    for k in range(1, 8):
+        for r in (0, 1, 2, 3, 10, 12345, 10**20 + 7):
+            assert integer_root(r**k, k) == r
+            if r > 1:
+                assert integer_root(r**k - 1, k) == r - 1
+            if r > 1 and k > 1:
+                assert integer_root(r**k + 1, k) == r
+    with pytest.raises(ValueError):
+        integer_root(-1, 2)
+
+
+# -- integer_roots against sympy's factorization-based reference ---------------
+
+_Y = sympy.Symbol("y")
+
+
+def sympy_integer_roots(coeffs):
+    poly = sympy.Poly({(j,): c for j, c in coeffs.items()}, _Y, domain=sympy.ZZ)
+    return sorted(int(r) for r in poly.ground_roots() if sympy.Rational(r).q == 1)
+
+
+def times_linear(coeffs, root):
+    """coeffs (low to high) of f(y) * (y - root)."""
+    out = [0] * (len(coeffs) + 1)
+    for j, c in enumerate(coeffs):
+        out[j + 1] += c
+        out[j] -= root * c
+    return out
+
+
+@st.composite
+def planted_polys(draw):
+    degree = draw(st.integers(1, 6))
+    planted = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-10**4, 10**4)), max_size=degree))
+    if planted and len(planted) < degree and draw(st.booleans()):
+        planted.append(planted[0])  # a repeated root
+    rest = degree - len(planted)
+    coeffs = draw(st.lists(
+        st.integers(-10**12, 10**12), min_size=rest, max_size=rest)) + [1]
+    for r in planted:
+        coeffs = times_linear(coeffs, r)
+    return {j: c for j, c in enumerate(coeffs) if c}, set(planted)
+
+
+class TestIntegerRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_polys())
+    def test_matches_sympy_on_planted_polynomials(self, case):
+        coeffs, planted = case
+        roots = integer_roots(coeffs)
+        assert roots == sympy_integer_roots(coeffs)
+        assert planted <= set(roots)
+
+    @pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+    def test_matches_sympy_on_curve_fibres(self, curve):
+        poly = defining_poly(curve)
+        for x0 in range(-300, 301):
+            coeffs = poly.specialize_x(x0)
+            assert integer_roots(coeffs) == sympy_integer_roots(coeffs), x0
+
+    def test_small_cases(self):
+        assert integer_roots({0: 7}) == []
+        assert integer_roots({1: 1}) == [0]
+        assert integer_roots({0: -4, 2: 1}) == [-2, 2]
+        assert integer_roots({0: 2, 2: -1}) == []          # roots +-sqrt(2)
+        assert integer_roots({0: -6, 1: 1, 2: 1}) == [-3, 2]
+        assert integer_roots({0: 1, 1: -2, 2: 1}) == [1]   # double root
+        assert integer_roots({0: -3, 1: 2}) == []          # non-monic, root 3/2
+        assert integer_roots({0: -6, 1: 3}) == [2]         # non-monic
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            integer_roots({})
+        with pytest.raises(ValueError):
+            integer_roots({3: 0})
+
+
 quad_elems = st.builds(
     QuadRat,
     st.just(17),
@@ -106,8 +197,10 @@ class TestQuadRat:
             QuadRat(17, F(1), F(0)) / QuadRat(17, F(0), F(0))
 
     def test_radicand_must_be_squarefree(self):
-        with pytest.raises(ValueError):
-            QuadRat(12, F(1), F(1))
+        for _ in range(2):  # the second time the verdict is memoized
+            with pytest.raises(ValueError):
+                QuadRat(12, F(1), F(1))
+        assert not is_squarefree(12) and is_squarefree(17)
 
     @settings(max_examples=200)
     @given(quad_elems, quad_elems)

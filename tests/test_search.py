@@ -101,6 +101,32 @@ class TestKsSearch:
                 assert all(pt[0] != z for pt in emitted)
 
 
+def brute_force_ks(H):
+    """Reference scan: the exact rational_sqrt test on every reduced p/q."""
+    hits, scanned = set(), 0
+    for p in range(-H, H + 1):
+        for q in range(1, H + 1):
+            if gcd(p, q) != 1:
+                continue
+            scanned += 1
+            e = p**4 + 4 * p**3 * q - 2 * p**2 * q**2 + 4 * p * q**3 + q**4
+            r = rational_sqrt(F(2 * p * e, q**5))
+            if r is not None:
+                hits |= {(F(p, q), r), (F(p, q), -r)}
+    return hits, scanned
+
+
+@pytest.mark.parametrize("H", [1, 2, 5, 17, 60])
+def test_ks_scan_matches_brute_force(H):
+    hits, scanned = brute_force_ks(H)
+    for partitions in (1, 2, 3, 4):
+        for jobs in (1, 2):
+            res = search_ks(H, partitions=partitions, jobs=jobs)
+            assert set(res.points()) == hits
+            assert len(res.found) == len(hits)
+            assert res.scanned == scanned
+
+
 class TestIntegralSearch:
     def test_k1_box_two(self):
         assert set(search_integral(CurveId.K1, 2).points()) == K1_INTEGRAL
