@@ -8,10 +8,12 @@ Subcommands:
   search          bounded searches (rational height on Ks, integral box on K1/K3)
   report          the full battery in one run
 
-Exit codes: 0 all checks pass, 1 at least one failure, 2 bad usage, 3 I/O
-error.  JSON output serializes every number as a string (exact "p/q"
-rationals, decimals with an explicit error radius); the schema ships as
-report_schema.json next to this module.
+Exit codes: 0 all checks pass, 1 at least one failure (including a
+discriminant for which the modular engine finds no pair, no integral j or
+no usable precision), 2 bad usage (including --bits outside [8, 16384] and
+sizes below 1), 3 I/O error.  JSON output serializes every number as a
+string (exact "p/q" rationals, decimals with an explicit error radius); the
+schema ships as report_schema.json next to this module.
 """
 
 from __future__ import annotations
@@ -30,18 +32,18 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .curves import (
-    CurveId, coord_names, is_on_curve, is_singular_point, paper_points,
-    rational_paper_points, serialize_coord, table_as_json,
+    CurveId, is_on_curve, is_singular_point, paper_points,
+    rational_paper_points, serialize_coord,
 )
-from .fixedreal import FixedReal
+from .fixedreal import IndistinguishableFromZeroError
 from .maps import (
     MapDomainError, cover_k3_to_k6, euler_resolvent_check, k1_to_k3,
     k1_to_ks, k2_to_k6, k3_to_ks, ks_to_k3, pair_k1_to_k2, pell_params,
 )
 from .modular import (
-    CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext, gamma2_of,
-    j_invariant, paper_labels, recover_pair, schlafli_w, verify_tower,
-    weber_product_selftest,
+    CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
+    RecoveryError, ResidualError, gamma2_of, j_invariant, paper_labels,
+    recover_pair, schlafli_w, verify_tower, weber_product_selftest,
 )
 from .search import reconcile, search_integral, search_ks
 
@@ -216,18 +218,42 @@ def checks_verify_maps(report: Report, n_random: int = 500) -> None:
                    f"-> ({serialize_coord(img[0])},{serialize_coord(img[1])})")
 
 
+def _attempt(report: Report, check_id: str, fn, *args):
+    """fn(*args), or None after recording a failing check when the modular
+    engine gives no verdict: no pair or j within tolerance, a residual that
+    cannot be formed, or a precision too low to divide."""
+    try:
+        return fn(*args)
+    except (RecoveryError, ResidualError) as e:
+        report.add(check_id, False, str(e))
+    except IndistinguishableFromZeroError as e:
+        report.add(check_id, False, f"precision too low: {e}")
+    return None
+
+
 def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
     ctx = ModularContext.create(d, prec=bits)
-    a3b3, al3be3 = paper_labels(d)
-    pair = recover_pair(ctx)
-    report.add(
-        f"tower:d={d}:recover", pair == a3b3,
-        f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
-    )
-    j = j_invariant(ctx)
-    g2 = gamma2_of(j)
-    report.add(f"tower:d={d}:j-cube", g2 is not None, f"j={j}, gamma2={g2}")
-    rep = verify_tower(ctx, a3b3, al3be3)
+    try:
+        a3b3, al3be3 = paper_labels(d)
+    except KeyError:
+        a3b3 = al3be3 = None
+    pair = _attempt(report, f"tower:d={d}:recover", recover_pair, ctx)
+    if pair is not None:
+        report.add(
+            f"tower:d={d}:recover", pair == a3b3,
+            f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
+        )
+    j = _attempt(report, f"tower:d={d}:j-cube", j_invariant, ctx)
+    if j is not None:
+        g2 = gamma2_of(j)
+        report.add(f"tower:d={d}:j-cube", g2 is not None, f"j={j}, gamma2={g2}")
+    if a3b3 is None:
+        report.add(f"tower:d={d}:labels", False,
+                   f"no table pair for d={d}: h(-d) != 1, no tower to check")
+        return
+    rep = _attempt(report, f"tower:d={d}:residuals", verify_tower, ctx, a3b3, al3be3)
+    if rep is None:
+        return
     for eq, res in rep.residuals.items():
         ok = res.magnitude_below(rep.threshold_bits())
         report.add(
@@ -241,10 +267,12 @@ def checks_modular(report: Report, d: int, bits: Optional[int]) -> None:
     ctx = ModularContext.create(d, prec=bits)
     w = schlafli_w(ctx)
     report.add(f"modular:d={d}:W", True, f"P={ctx.prec}", W=w.decimal(40))
-    pair = recover_pair(ctx, w=w)
-    report.add(f"modular:d={d}:pair", True, "", a3=pair[0], b3=pair[1])
-    j = j_invariant(ctx)
-    report.add(f"modular:d={d}:j", True, "", j=j, gamma2=gamma2_of(j))
+    pair = _attempt(report, f"modular:d={d}:pair", recover_pair, ctx, w)
+    if pair is not None:
+        report.add(f"modular:d={d}:pair", True, "", a3=pair[0], b3=pair[1])
+    j = _attempt(report, f"modular:d={d}:j", j_invariant, ctx)
+    if j is not None:
+        report.add(f"modular:d={d}:j", True, "", j=j, gamma2=gamma2_of(j))
     checks_tower(report, d, bits)
 
 
@@ -327,12 +355,35 @@ def emit(report: Report, fmt: str, out: Optional[str],
 # argument parsing and dispatch
 
 
+BITS_MIN, BITS_MAX = 8, 16384
+"""Range of --bits.  Below 8 bits the pair and j tests compare against
+2^-(P//4) >= 1/2, which every real number meets; at the ceiling, twice the
+largest precision the tests use, one tower already takes seconds."""
+
+
+def _bounded_int(lo: int, hi: Optional[int] = None):
+    """argparse type for an integer in [lo, hi] (no upper end if hi is None)."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if v < lo or (hi is not None and v > hi):
+            want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {want}, got {v}")
+        return v
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curveatlas",
         description="exact verification atlas for the class-number-one curve family",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    bits = _bounded_int(BITS_MIN, BITS_MAX)
+    bits_help = f"working precision, {BITS_MIN} to {BITS_MAX} bits (default: sized to d)"
+    positive = _bounded_int(1)
 
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -343,27 +394,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tower", help="cubic-tower residuals")
     p.add_argument("--d", type=int, help="one discriminant (default: all six)")
-    p.add_argument("--bits", type=int, help="working precision")
+    p.add_argument("--bits", type=bits, help=bits_help)
     common(p)
 
     p = sub.add_parser("modular", help="product values, pair recovery, j")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bits", type=int)
+    p.add_argument("--bits", type=bits, help=bits_help)
     common(p)
 
     p = sub.add_parser("search", help="bounded exact point search")
     p.add_argument("--curve", choices=("ks", "k1", "k3"), required=True)
-    p.add_argument("--height", type=int, help="z-height bound (ks)")
-    p.add_argument("--box", type=int, help="|x| bound (k1/k3)")
-    p.add_argument("--partitions", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--height", type=positive, help="z-height bound (ks)")
+    p.add_argument("--box", type=positive, help="|x| bound (k1/k3)")
+    p.add_argument("--partitions", type=positive, default=4)
+    p.add_argument("--jobs", type=positive, default=1)
     common(p)
 
     p = sub.add_parser("report", help="full battery")
-    p.add_argument("--bits", type=int)
-    p.add_argument("--height", type=int, default=200)
-    p.add_argument("--box", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--bits", type=bits, help=bits_help)
+    p.add_argument("--height", type=positive, default=200)
+    p.add_argument("--box", type=positive, default=50)
+    p.add_argument("--jobs", type=positive, default=1)
     common(p)
     return ap
 
@@ -392,12 +443,12 @@ def main(argv=None) -> int:
         elif args.command == "search":
             curve = {"ks": CurveId.KS, "k1": CurveId.K1, "k3": CurveId.K3}[args.curve]
             if curve is CurveId.KS:
-                if args.height is None or args.height < 1:
-                    ap.error("--height must be >= 1 for the ks search")
+                if args.height is None:
+                    ap.error("--height is required for the ks search")
                 bound = args.height
             else:
-                if args.box is None or args.box < 1:
-                    ap.error("--box must be >= 1 for integral searches")
+                if args.box is None:
+                    ap.error("--box is required for integral searches")
                 bound = args.box
             csv_records = checks_search(
                 report, curve, bound, args.partitions, args.jobs

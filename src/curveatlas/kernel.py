@@ -5,8 +5,9 @@ Rationals are ``fractions.Fraction`` throughout: it already guarantees the
 canonical form we need (positive denominator, gcd(num, den) = 1, structural
 equality, hashable).  This module adds the pieces the rest of the package
 needs on top of that: exact square roots, integer roots of univariate
-integer polynomials, quadratic extension elements a + b*sqrt(m), and
-polynomial evaluation that stays exact over either field.
+integer polynomials, the integer solutions of a linear congruence inside a
+band (by 2-D lattice reduction), quadratic extension elements
+a + b*sqrt(m), and polynomial evaluation that stays exact over either field.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -180,6 +181,61 @@ def _root_brackets(low_to_high: list, bound: int) -> list:
                 hi = mid
         out.add(lo)
         out.add(hi)
+    return sorted(out)
+
+
+def band_solutions(m: int, q: int, c: int, ex: int, ey: int) -> list[tuple[int, int]]:
+    """Every integer pair (a, b) with |a| <= ex and |a*m + c - b*q| <= ey,
+    for q >= 1, sorted.
+
+    Exact and complete, integers only.  The pairs are the points
+    p = (a, a*m - b*q) of the lattice with basis (1, m), (0, q) and
+    determinant q that lie in the box |x| <= ex, |y + c| <= ey around
+    t = (0, -c).  Lagrange-Gauss reduction, in the norm that scales x by
+    s = max(1, ey // ex) so that the box is roughly square when ey >= ex,
+    gives a basis u, v with det(u, v) = q after a sign change.  A point
+    p = k1*u + k2*v of the box has k2 = det(u, p) / q and
+    |det(u, p - t)| <= |u_x|*ey + |u_y|*ex, so k2 runs over an integer
+    interval around the Babai coordinate det(u, t) / q; on each such line
+    the box cuts k1 to an exact interval.  Because u is a shortest vector,
+    for ey >= ex the number of lines is about sqrt(ex*ey/q) + 1, and on
+    each line only the points of the box are visited.
+    """
+    if q < 1:
+        raise ValueError("band_solutions needs q >= 1")
+    if ex < 0 or ey < 0:
+        return []
+    s2 = max(1, ey // max(ex, 1)) ** 2
+    u, v = (1, m), (0, q)
+    nu, nv = s2 + m * m, q * q
+    if nu > nv:
+        u, v, nu, nv = v, u, nv, nu
+    while True:
+        k = (2 * (s2 * u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)
+        v = (v[0] - k * u[0], v[1] - k * u[1])
+        nv = s2 * v[0] * v[0] + v[1] * v[1]
+        if nv >= nu:
+            break
+        u, v, nu, nv = v, u, nv, nu
+    if u[0] * v[1] - u[1] * v[0] < 0:
+        v = (-v[0], -v[1])
+    centre = -u[0] * c  # det(u, t)
+    reach = abs(u[0]) * ey + abs(u[1]) * ex
+    out = []
+    for k2 in range(-((reach - centre) // q), (centre + reach) // q + 1):
+        lo, hi = -inf, inf
+        for z0, dz, e in ((k2 * v[0], u[0], ex), (k2 * v[1] + c, u[1], ey)):
+            # the k1 with |z0 + k1*dz| <= e
+            if dz < 0:
+                z0, dz = -z0, -dz
+            if dz:
+                lo, hi = max(lo, -((e + z0) // dz)), min(hi, (e - z0) // dz)
+            elif abs(z0) > e:
+                lo, hi = 1, 0
+        for k1 in range(lo, hi + 1):
+            a = k1 * u[0] + k2 * v[0]
+            r = k1 * u[1] + k2 * v[1] + c  # a*m + c - b*q
+            out.append((a, (a * m + c - r) // q))
     return sorted(out)
 
 
@@ -388,9 +444,6 @@ class BivarPoly:
         for (i, j), c in self.terms.items():
             out[j] = out.get(j, 0) + c * x0**i
         return {j: c for j, c in out.items() if c != 0}
-
-    def degree_y(self) -> int:
-        return max((j for (_, j) in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:

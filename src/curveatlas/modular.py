@@ -19,14 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
 from .curves import CurveId, is_on_curve
 from .fixedreal import FixedReal
-from .kernel import integer_cbrt, is_squarefree
+from .kernel import band_solutions, integer_cbrt, is_squarefree
 
 
 class InvalidDiscriminantError(ValueError):
@@ -96,22 +94,32 @@ def schlafli_w(ctx: ModularContext) -> FixedReal:
     return w
 
 
-def recover_pair(
-    ctx: ModularContext,
-    search_bound: int = 10**6,
-    w: Optional[FixedReal] = None,
-) -> Tuple[int, int]:
+PAIR_SEARCH_BOUND = 10**6
+"""Largest |a3| that recover_pair considers."""
+
+
+def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[int, int]:
     """Recover the integer pair (a3, b3) from W.
 
-    Scans a3 in [-A, A]; b3 must make (8 + 2*a3*W^2 - W^3)/(2W) = a3*W +
-    (8 - W^3)/(2W) an integer to within 2**-(P/4), and (a3, b3) must lie
-    exactly on the K3 curve.  A fast float64 screen (band 1e-6, far wider
-    than the acceptance threshold) selects candidates; every survivor is
-    re-examined in full precision and by exact integer curve membership.
+    b3 must make (8 + 2*a3*W^2 - W^3)/(2W) = a3*W + c, c = (8 - W^3)/(2W),
+    an integer to within 2**-(P/4) counting the tracked error, and (a3, b3)
+    must lie exactly on the K3 curve.  Every a3 with |a3| <= A =
+    PAIR_SEARCH_BOUND that can pass the defect test is found exactly, with
+    no floating point (see _pair_candidates): since a3*W + c has mantissa
+    exactly a3*M_W + M_c, such an a3 is the first coordinate of a point of
+    the lattice {(a, a*M_W - b*2^P)} in a box around (0, -M_c), whose width
+    in a is at most 2A and whose height is the band 2^(P - P/4) less the
+    tracked error.  kernel.band_solutions lists every point of that box, so
+    the search is complete, not sampled.  Each candidate is then
+    re-examined by the FixedReal defect test and by exact integer curve
+    membership.
 
     When W is indistinguishable from 2 the cubic degenerates to the triple
     root (W - 2)^3, every integer a3 passes the integrality test, and the
     pair is forced to (3, 6) by matching coefficients.
+
+    Raises RecoveryError when no candidate passes (h(-d) != 1, or the
+    precision is too low) and when two different pairs pass.
     """
     P = ctx.prec
     if w is None:
@@ -123,15 +131,9 @@ def recover_pair(
         return (3, 6)
 
     c = (8 - w.pow_int(3)) / (2 * w)
-    wf, cf = float(w), float(c)
-    a = np.arange(-search_bound, search_bound + 1, dtype=np.int64)
-    v = a * wf + cf
-    frac = v - np.rint(v)
-    candidates = a[np.abs(frac) < 1e-6]
-
     found = []
     best = None
-    for a3 in candidates.tolist():
+    for a3 in _pair_candidates(w, c):
         bF = a3 * w + c
         b3, dfc = bF.nearest_int()
         total = dfc + bF.error_radius()
@@ -142,10 +144,14 @@ def recover_pair(
         if is_on_curve(CurveId.K3, (Fraction(a3), Fraction(b3))):
             found.append((a3, b3))
     if not found:
+        if best is None:
+            closest = f"no |a3| <= {PAIR_SEARCH_BOUND} within 2^-{P // 4}"
+        else:
+            e = best.numerator.bit_length() - best.denominator.bit_length()
+            closest = f"best defect about 2^{e}"
         raise RecoveryError(
-            f"no integer pair found for d={ctx.d} within bound {search_bound} "
-            f"(best defect {float(best) if best is not None else 'n/a'}); "
-            "either h(-d) != 1 or the precision is insufficient",
+            f"no pair for d={ctx.d}: h(-d) != 1 or precision too low "
+            f"({closest})",
             best_defect=best,
         )
     if len(set(found)) > 1:
@@ -153,6 +159,43 @@ def recover_pair(
             f"multiple candidate pairs for d={ctx.d}: {sorted(set(found))}"
         )
     return found[0]
+
+
+def _pair_candidates(w: FixedReal, c: FixedReal) -> List[int]:
+    """A superset of the a with |a| <= PAIR_SEARCH_BOUND for which a*w + c
+    passes recover_pair's defect test.
+
+    In units of 2^-P, a*w + c has mantissa a*M_w + M_c and error radius
+    e(a) = 2 + (|a| + 1)*w.errbits + c.errbits (FixedReal.__mul__ by an
+    exact integer, then __add__), and the test passes when the distance
+    from the mantissa to the nearest multiple of 2^P plus e(a) is below
+    T = 2^(P - P//4).  A passing a therefore has
+    |a*M_w + M_c - b*2^P| <= ey = T - 1 - e(0) for some integer b, and
+    |a| <= ex, the smaller of PAIR_SEARCH_BOUND and the largest |a| with
+    (|a| + 1)*w.errbits <= T - 3 - c.errbits.
+
+    The low k bits of both mantissas are then dropped.  With
+    M = (M >> k)*2^k + r and 0 <= r < 2^k, |a*r_w + r_c| < (|a| + 1)*2^k,
+    so a passing a also solves the truncated problem, modulo 2^(P - k),
+    within (ey >> k) + ex + 1.  Keeping P//4 + bitlen(ex) + 8 bits leaves
+    T >> k = 2^(bitlen(ex) + 8) > 256*ex, so the widening adds under 1% to
+    a band near T, while the reduction works on numbers about P/4 bits
+    long.
+    """
+    P = w.prec
+    T = 1 << (P - P // 4)
+    ey = T - 3 - w.errbits - c.errbits
+    ex = PAIR_SEARCH_BOUND
+    if w.errbits:
+        ex = min(ex, (T - 3 - c.errbits) // w.errbits - 1)
+    if ex < 0 or ey < 0:
+        return []
+    k = max(0, P - (P // 4 + ex.bit_length() + 8))
+    return [
+        a for a, _ in band_solutions(
+            w.mantissa >> k, 1 << (P - k), c.mantissa >> k, ex, (ey >> k) + ex + 1
+        )
+    ]
 
 
 def j_invariant(ctx: ModularContext) -> int:
@@ -216,9 +259,8 @@ class TowerReport:
         return not self.failed()
 
 
-def _cubic_residual(x: FixedReal, p: int, q, r, s) -> FixedReal:
-    """x^3 + p-style cubic: returns x^3 + q*x^2 + r*x + s with integer or
-    rational coefficients (p unused; kept for signature clarity)."""
+def _cubic_residual(x: FixedReal, q, r, s) -> FixedReal:
+    """x^3 + q*x^2 + r*x + s with integer or rational coefficients."""
     P = x.prec
     def cf(v):
         return FixedReal.from_fraction(Fraction(v), P)
@@ -260,9 +302,9 @@ def verify_tower(
     rep.values["W"] = w
     rep.values["T"] = t_val
     rep.values["U"] = u
-    rep.residuals["eq2.2"] = _cubic_residual(w, P, -2 * a3, 2 * b3, -8)
-    rep.residuals["eq2.3"] = _cubic_residual(t_val, P, -2 * a2, 2 * b2, -8)
-    rep.residuals["eq2.1"] = _cubic_residual(u, P, -48, 768 - j, -4096)
+    rep.residuals["eq2.2"] = _cubic_residual(w, -2 * a3, 2 * b3, -8)
+    rep.residuals["eq2.3"] = _cubic_residual(t_val, -2 * a2, 2 * b2, -8)
+    rep.residuals["eq2.1"] = _cubic_residual(u, -48, 768 - j, -4096)
 
     v = u.cbrt()
     rep.values["V"] = v
@@ -282,8 +324,8 @@ def verify_tower(
             z = eps.pow_int(2)
             rep.values["S"] = s
             rep.values["Z"] = z
-            rep.residuals["eq3.3"] = _cubic_residual(s, P, -2 * al3, 2 * be3, -4)
-            rep.residuals["eq3.2"] = _cubic_residual(z, P, -2 * al2, 2 * be2, -2)
+            rep.residuals["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
+            rep.residuals["eq3.2"] = _cubic_residual(z, -2 * al2, 2 * be2, -2)
     return rep
 
 

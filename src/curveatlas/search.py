@@ -122,7 +122,7 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     start = time.monotonic()
     tasks = [(H, r, partitions) for r in range(partitions)]
     if jobs > 1 and partitions > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, partitions)) as pool:
             parts = list(pool.map(_ks_scan_class, tasks))
     else:
         parts = [_ks_scan_class(t) for t in tasks]
@@ -167,7 +167,7 @@ def search_integral(
     start = time.monotonic()
     tasks = [(curve.name, B, r, partitions) for r in range(partitions)]
     if jobs > 1 and partitions > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, partitions)) as pool:
             parts = list(pool.map(_integral_scan_class, tasks))
     else:
         parts = [_integral_scan_class(t) for t in tasks]

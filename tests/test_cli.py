@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import curveatlas
+from curveatlas import modular
 from curveatlas.cli import build_parser, main
 
 
@@ -85,6 +86,72 @@ class TestModularCommands:
         assert ei.value.code == 2
 
 
+def failing_checks(capsys, *argv):
+    """Run a command that must end in failing checks, not a traceback."""
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    return {c["id"]: c.get("details", "") for c in json.loads(out)["checks"]
+            if c["status"] == "fail"}
+
+
+class TestModularFailures:
+    def test_modular_without_pair(self, capsys):
+        failed = failing_checks(capsys, "modular", "--d", "35")
+        assert "no pair" in failed["modular:d=35:pair"]
+        assert "h(-d) != 1" in failed["modular:d=35:pair"]
+        assert "not integral" in failed["modular:d=35:j"]
+
+    def test_verify_tower_without_pair_at_low_precision(self, capsys):
+        failed = failing_checks(capsys, "verify-tower", "--d", "67", "--bits", "32")
+        assert "precision too low" in failed["tower:d=67:recover"]
+
+    def test_verify_tower_without_table_pair(self, capsys):
+        failed = failing_checks(capsys, "verify-tower", "--d", "35")
+        assert "no table pair" in failed["tower:d=35:labels"]
+        assert "no pair" in failed["tower:d=35:recover"]
+
+    def test_verify_tower_indistinguishable_from_zero(self, capsys):
+        failed = failing_checks(capsys, "verify-tower", "--d", "11", "--bits", "8")
+        assert failed["tower:d=11:recover"].startswith("precision too low")
+
+    def test_modular_indistinguishable_from_zero(self, capsys):
+        failed = failing_checks(capsys, "modular", "--d", "11", "--bits", "16")
+        assert failed["modular:d=11:pair"].startswith("precision too low")
+
+    def test_residual_error(self, capsys, monkeypatch):
+        # verify_tower raises ResidualError when j is not a cube
+        monkeypatch.setattr(modular, "gamma2_of", lambda j: None)
+        failed = failing_checks(capsys, "verify-tower", "--d", "11")
+        assert "not a perfect cube" in failed["tower:d=11:residuals"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-tower", "--d", "11", "--bits", "0"],
+    ["verify-tower", "--bits", "7"],
+    ["verify-tower", "--bits", "16385"],
+    ["modular", "--d", "11", "--bits", "100000000"],
+    ["report", "--bits", "-1"],
+    ["search", "--curve", "ks", "--height", "5", "--partitions", "0"],
+    ["search", "--curve", "ks", "--height", "5", "--jobs", "0"],
+    ["report", "--jobs", "0"],
+    ["report", "--height", "0"],
+    ["report", "--box", "0"],
+], ids=["bits-0", "bits-below-floor", "bits-above-ceiling", "bits-huge",
+        "bits-negative", "partitions-0", "search-jobs-0", "report-jobs-0",
+        "report-height-0", "report-box-0"])
+def test_out_of_range_size_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_bits_range_ends_are_accepted():
+    ap = build_parser()
+    assert ap.parse_args(["verify-tower", "--bits", "8"]).bits == 8
+    assert ap.parse_args(["verify-tower", "--bits", "16384"]).bits == 16384
+
+
 class TestSearchCommand:
     def test_ks_search(self, capsys):
         code, out = run(capsys, "search", "--curve", "ks", "--height", "25",
@@ -153,11 +220,13 @@ class TestParser:
 
 
 def test_cli_import_does_not_load_sympy():
-    # sympy is a test-only dependency; importing it costs ~0.3 s of start-up
+    # sympy and numpy are test-only dependencies; the package runs on the
+    # standard library alone, and each import costs start-up time
     src = str(Path(curveatlas.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, curveatlas.cli; print('sympy' in sys.modules)"
+    code = ("import sys, curveatlas.cli; "
+            "print([m for m in ('sympy', 'numpy') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from curveatlas.curves import CurveId, defining_poly
 from curveatlas.kernel import (
-    BivarPoly, MixedRadicandError, QuadRat, integer_cbrt, integer_root,
-    integer_roots, integer_sqrt, is_squarefree, maybe_square, rational_sqrt,
+    BivarPoly, MixedRadicandError, QuadRat, band_solutions, integer_cbrt,
+    integer_root, integer_roots, integer_sqrt, is_squarefree, maybe_square,
+    rational_sqrt,
 )
 
 
@@ -173,6 +174,54 @@ quad_elems = st.builds(
     st.fractions(min_value=-100, max_value=100, max_denominator=50),
     st.fractions(min_value=-100, max_value=100, max_denominator=50),
 )
+
+
+def brute_band_solutions(m, q, c, ex, ey):
+    out = []
+    for a in range(-ex, ex + 1):
+        v = a * m + c
+        # b with |v - b*q| <= ey: ceil((v - ey)/q) <= b <= floor((v + ey)/q)
+        for b in range(-((ey - v) // q), (v + ey) // q + 1):
+            out.append((a, b))
+    return out
+
+
+@st.composite
+def band_problems(draw):
+    """Random m, q, c and box, with solutions planted by choosing c."""
+    bits = draw(st.integers(1, 120))
+    q = draw(st.one_of(st.just(1 << bits), st.integers(1, 1 << bits)))
+    m = draw(st.integers(-(1 << (bits + 4)), 1 << (bits + 4)))
+    ex = draw(st.integers(0, 2000))
+    ey = draw(st.one_of(st.integers(0, 64), st.integers(0, 2 * q)))
+    if draw(st.booleans()):
+        a0 = draw(st.integers(-ex, ex))
+        b0 = draw(st.integers(-(1 << 20), 1 << 20))
+        r0 = draw(st.integers(-ey, ey))
+        c = b0 * q + r0 - a0 * m
+    else:
+        c = draw(st.integers(-(1 << (bits + 16)), 1 << (bits + 16)))
+    return m, q, c, ex, ey
+
+
+class TestBandSolutions:
+    @settings(max_examples=300, deadline=None)
+    @given(band_problems())
+    def test_matches_brute_force(self, case):
+        assert band_solutions(*case) == brute_band_solutions(*case)
+
+    def test_small_cases(self):
+        # a*3 - b*7 within 1 of -5, |a| <= 4
+        expect = brute_band_solutions(3, 7, 5, 4, 1)
+        assert expect and band_solutions(3, 7, 5, 4, 1) == expect
+        assert band_solutions(3, 7, 5, -1, 1) == []
+        assert band_solutions(3, 7, 5, 4, -1) == []
+        # q = 1: every a, every b in the band
+        assert len(band_solutions(10**30 + 7, 1, -3, 2, 0)) == 5
+
+    def test_rejects_bad_modulus(self):
+        with pytest.raises(ValueError):
+            band_solutions(3, 0, 5, 4, 1)
 
 
 class TestQuadRat:

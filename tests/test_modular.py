@@ -1,12 +1,18 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curveatlas import modular
 from curveatlas.fixedreal import FixedReal
+from curveatlas.kernel import is_squarefree
 from curveatlas.modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    default_precision, gamma2_of, j_invariant, paper_labels, recover_pair,
-    schlafli_w, series_length, verify_tower, weber_product_selftest,
+    RecoveryError, default_precision, gamma2_of, j_invariant, paper_labels,
+    recover_pair, schlafli_w, series_length, verify_tower,
+    weber_product_selftest,
 )
 
 
@@ -95,9 +101,96 @@ class TestRecoverPair:
         w = schlafli_w(ctx)
         assert recover_pair(ctx, w=w) == (3, 14)
 
-    def test_high_precision_stable(self):
-        ctx = ModularContext.create(163, prec=512)
-        assert recover_pair(ctx) == (-17, 150)
+    @pytest.mark.parametrize("prec", [128, 512, 2048, 8192])
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_stable_across_precision(self, d, prec):
+        ctx = ModularContext.create(d, prec=prec)
+        assert recover_pair(ctx) == EXPECTED_PAIRS[d]
+
+    def test_class_number_dichotomy_below_1000(self):
+        # a pair exists iff h(-d) = 1, over every admissible d < 1000
+        ds = [d for d in range(3, 1000, 8) if is_squarefree(d)]
+        assert len(ds) == 101
+        for d in ds:
+            ctx = ModularContext.create(d)
+            if class_number(d) == 1:
+                assert recover_pair(ctx) == EXPECTED_PAIRS[d], d
+            else:
+                with pytest.raises(RecoveryError, match="no pair"):
+                    recover_pair(ctx)
+
+    def test_low_precision_finds_no_pair(self):
+        ctx = ModularContext.create(67, prec=32)
+        with pytest.raises(RecoveryError, match="precision too low"):
+            recover_pair(ctx)
+
+    def test_two_passing_pairs_are_rejected(self):
+        # an exact W at P = 16 lets an eighth of all a3 pass the defect
+        # test; with curve membership forced, several pairs pass
+        ctx = ModularContext.create(11, prec=16)
+        w = FixedReal(3 << 14, 16)
+        with mock.patch.object(modular, "PAIR_SEARCH_BOUND", 100), \
+                mock.patch.object(modular, "is_on_curve", lambda c, p: True):
+            with pytest.raises(RecoveryError, match="multiple"):
+                recover_pair(ctx, w=w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_candidates_cover_every_passing_a3(self, data):
+        # brute force over |a| <= bound with recover_pair's own defect test
+        prec = data.draw(st.integers(16, 160), label="prec")
+        bound = data.draw(st.integers(0, 2000), label="bound")
+        w = FixedReal(data.draw(st.integers(1, 4 << prec)), prec,
+                      data.draw(st.integers(0, 64)))
+        werr = data.draw(st.integers(0, 1 << 12))
+        if data.draw(st.booleans(), label="planted"):
+            # c puts a0*w + c within r0 units of the integer b0; at the edge
+            # r0 plus the error radius is one unit below the threshold
+            a0 = data.draw(st.integers(-bound, bound))
+            b0 = data.draw(st.integers(-10**6, 10**6))
+            band = 1 << (prec - prec // 4)
+            edge = band - 1 - (a0 * w + FixedReal(0, prec, werr)).errbits
+            r0 = data.draw(st.one_of(
+                st.integers(-band // 2, band // 2),
+                st.sampled_from([-edge, edge]),
+            ))
+            cm = (b0 << prec) + r0 - a0 * w.mantissa
+        else:
+            cm = data.draw(st.integers(-(1 << (prec + 20)), 1 << (prec + 20)))
+        c = FixedReal(cm, prec, werr)
+        threshold = Fraction(1, 1 << (prec // 4))
+        passing = []
+        for a in range(-bound, bound + 1):
+            v = a * w + c
+            _, defect = v.nearest_int()
+            if defect + v.error_radius() < threshold:
+                passing.append(a)
+        with mock.patch.object(modular, "PAIR_SEARCH_BOUND", bound):
+            candidates = modular._pair_candidates(w, c)
+        assert set(passing) <= set(candidates)
+        assert all(abs(a) <= bound for a in candidates)
+
+
+def class_number(d):
+    """h(-d) for a fundamental discriminant -d < 0, by counting the reduced
+    forms (a, b, c): b^2 - 4ac = -d, |b| <= a <= c, b >= 0 if |b| = a or
+    a = c."""
+    h = 0
+    a = 1
+    while 3 * a * a <= d:
+        for b in range(-a + 1, a + 1):
+            c, r = divmod(b * b + d, 4 * a)
+            if r == 0 and c >= a and not (b < 0 and c == a):
+                h += 1
+        a += 1
+    return h
+
+
+def test_class_number_by_reduced_forms():
+    assert [class_number(d) for d in (3, 11, 19, 43, 67, 163)] == [1] * 6
+    assert [class_number(d) for d in (35, 51, 59, 83, 91, 107, 131)] == [
+        2, 2, 3, 3, 2, 3, 5,
+    ]
 
 
 class TestJInvariant:

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from curveatlas import search
 from curveatlas.curves import CurveId, paper_points, rational_paper_points
 from curveatlas.kernel import rational_sqrt
 from curveatlas.search import (
@@ -149,6 +150,36 @@ class TestIntegralSearch:
 
     def test_scanned_count(self):
         assert search_integral(CurveId.K1, 10).scanned == 21
+
+
+@pytest.mark.parametrize("run", [
+    lambda jobs: search_ks(30, partitions=3, jobs=jobs),
+    lambda jobs: search_integral(CurveId.K3, 20, partitions=3, jobs=jobs),
+], ids=["ks", "integral"])
+def test_pool_never_exceeds_partitions(monkeypatch, run):
+    # a fork pool starts all max_workers processes on the first submit, so
+    # a large --jobs must not reach the executor; a fake records the size
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    serial = run(1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
+    pooled = run(5000)
+    assert sizes == [3]
+    assert pooled.points() == serial.points()
+    assert pooled.scanned == serial.scanned
 
 
 class TestReconcile:
