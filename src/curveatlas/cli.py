@@ -42,8 +42,9 @@ from .maps import (
 )
 from .modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, ResidualError, gamma2_of, j_invariant, paper_labels,
-    recover_pair, schlafli_w, verify_tower, weber_product_selftest,
+    RecoveryError, ResidualError, boosted_w, gamma2_of, j_invariant,
+    paper_labels, recover_pair, schlafli_w, verify_tower,
+    weber_product_selftest,
 )
 from .search import reconcile, search_integral, search_ks
 
@@ -231,27 +232,42 @@ def _attempt(report: Report, check_id: str, fn, *args):
     return None
 
 
-def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
+def checks_tower(report: Report, d: int, bits: Optional[int],
+                 modular: bool = False) -> None:
+    """Tower checks for one d from one W at P and one boosted W; modular also
+    reports W, the pair and j (and their failures) under modular:d=... ids."""
     ctx = ModularContext.create(d, prec=bits)
+    w = schlafli_w(ctx)
+    if modular:
+        report.add(f"modular:d={d}:W", True, f"P={ctx.prec}", W=w.decimal(40))
     try:
         a3b3, al3be3 = paper_labels(d)
     except KeyError:
         a3b3 = al3be3 = None
-    pair = _attempt(report, f"tower:d={d}:recover", recover_pair, ctx)
+    pair_id = f"modular:d={d}:pair" if modular else f"tower:d={d}:recover"
+    pair = _attempt(report, pair_id, recover_pair, ctx, w)
     if pair is not None:
+        if modular:
+            report.add(pair_id, True, "", a3=pair[0], b3=pair[1])
         report.add(
             f"tower:d={d}:recover", pair == a3b3,
             f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
         )
-    j = _attempt(report, f"tower:d={d}:j-cube", j_invariant, ctx)
+    w_hi = boosted_w(ctx)
+    j_id = f"modular:d={d}:j" if modular else f"tower:d={d}:j-cube"
+    j = _attempt(report, j_id, j_invariant, ctx, w_hi)
     if j is not None:
         g2 = gamma2_of(j)
+        if modular:
+            report.add(j_id, True, "", j=j, gamma2=g2)
         report.add(f"tower:d={d}:j-cube", g2 is not None, f"j={j}, gamma2={g2}")
     if a3b3 is None:
         report.add(f"tower:d={d}:labels", False,
                    f"no table pair for d={d}: h(-d) != 1, no tower to check")
-        return
-    rep = _attempt(report, f"tower:d={d}:residuals", verify_tower, ctx, a3b3, al3be3)
+    if a3b3 is None or j is None:
+        return  # no tower, or verify_tower would fail on j again
+    rep = _attempt(report, f"tower:d={d}:residuals", verify_tower,
+                   ctx, a3b3, al3be3, w_hi)
     if rep is None:
         return
     for eq, res in rep.residuals.items():
@@ -261,19 +277,6 @@ def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
             f"|residual| < 2^-{rep.threshold_bits()}",
             residual=res.decimal(40),
         )
-
-
-def checks_modular(report: Report, d: int, bits: Optional[int]) -> None:
-    ctx = ModularContext.create(d, prec=bits)
-    w = schlafli_w(ctx)
-    report.add(f"modular:d={d}:W", True, f"P={ctx.prec}", W=w.decimal(40))
-    pair = _attempt(report, f"modular:d={d}:pair", recover_pair, ctx, w)
-    if pair is not None:
-        report.add(f"modular:d={d}:pair", True, "", a3=pair[0], b3=pair[1])
-    j = _attempt(report, f"modular:d={d}:j", j_invariant, ctx)
-    if j is not None:
-        report.add(f"modular:d={d}:j", True, "", j=j, gamma2=gamma2_of(j))
-    checks_tower(report, d, bits)
 
 
 def checks_search(report: Report, curve: CurveId, bound: int,
@@ -439,7 +442,7 @@ def main(argv=None) -> int:
             for d in ds:
                 checks_tower(report, d, args.bits)
         elif args.command == "modular":
-            checks_modular(report, args.d, args.bits)
+            checks_tower(report, args.d, args.bits, modular=True)
         elif args.command == "search":
             curve = {"ks": CurveId.KS, "k1": CurveId.K1, "k3": CurveId.K3}[args.curve]
             if curve is CurveId.KS:

@@ -76,6 +76,13 @@ class FixedReal:
             return float(self.mantissa >> shift) * 2.0 ** (shift - p)
         return self.mantissa / (1 << p)
 
+    def round_to(self, prec: int) -> "FixedReal":
+        """The value rounded to nearest at prec <= self.prec; the radius
+        widens by the half unit that rounding adds."""
+        k = self.prec - prec
+        return FixedReal(_rshift_round(self.mantissa, k), prec,
+                         -(-self.errbits >> k) + 1)
+
     def error_radius(self) -> Fraction:
         return Fraction(self.errbits, 1 << self.prec)
 
@@ -103,10 +110,6 @@ class FixedReal:
                 f"precision mismatch: {self.prec} vs {other.prec}"
             )
         return other
-
-    def _int_bound(self) -> int:
-        """ceil(|value|) + 1, used for derivative-based error propagation."""
-        return (abs(self.mantissa) >> self.prec) + 2
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -12,6 +12,11 @@ the working value is
 which is (sqrt 2 times) the normalized product value and satisfies the
 cubic W^3 - 2*a3*W^2 + 2*b3*W - 8 = 0 with (a3, b3) the integer pair
 attached to d when h(-d) = 1.
+
+j and every tower residual come from one W at P + guard(d) (boosted_w) and
+are judged at P's thresholds.  The pair comes from W at P, whose own error
+keeps its 2**-(P/4) test selective: from a boosted W, P = 32 sends ~16,600
+candidates to the curve test, and P = 16 finds pairs W at P cannot back.
 """
 
 from __future__ import annotations
@@ -198,19 +203,23 @@ def _pair_candidates(w: FixedReal, c: FixedReal) -> List[int]:
     ]
 
 
-def j_invariant(ctx: ModularContext) -> int:
+def boosted_w(ctx: ModularContext) -> FixedReal:
+    """W at P + guard(d) bits: j and eq2.1 scale W's error by about
+    exp(pi*sqrt(d)), so guard(d) = ceil(pi*sqrt(d)/ln 2) + 32."""
+    guard = math.ceil(math.pi * math.sqrt(ctx.d) / math.log(2)) + 32
+    return schlafli_w(ModularContext.create(ctx.d, prec=ctx.prec + guard))
+
+
+def j_invariant(ctx: ModularContext, w_hi: Optional[FixedReal] = None) -> int:
     """j from U = W^8 / 16 via (U^3 - 48U^2 + 768U - 4096)/U, rounded to an
     integer; the pre-rounding defect must stay below 2**-(P/4).
 
-    The division by U ~ 4096 * exp(-pi*sqrt(d)) amplifies absolute error by
-    about exp(pi*sqrt(d)), so the quotient is evaluated at an internally
-    boosted precision; the defect is still judged against the context's own
-    2**-(P/4) threshold.
+    The quotient uses the boosted W (w_hi, computed here unless given); the
+    defect is still judged against the context's own 2**-(P/4) threshold.
     """
     P = ctx.prec
-    guard = math.ceil(math.pi * math.sqrt(ctx.d) / math.log(2)) + 32
-    ctx_hi = ModularContext.create(ctx.d, prec=P + guard)
-    w_hi = schlafli_w(ctx_hi)
+    if w_hi is None:
+        w_hi = boosted_w(ctx)
     u = w_hi.pow_int(8) / 16
     jF = (u.pow_int(3) - 48 * u.pow_int(2) + 768 * u - 4096) / u
     n, defect = jF.nearest_int()
@@ -271,6 +280,7 @@ def verify_tower(
     ctx: ModularContext,
     a3b3: Tuple[int, int],
     al3be3: Optional[Tuple[int, int]] = None,
+    w_hi: Optional[FixedReal] = None,
 ) -> TowerReport:
     """Evaluate every cubic of the tower at the computed product values and
     report the residuals.
@@ -285,15 +295,18 @@ def verify_tower(
       eq3.2: Z^3 - 2*al2*Z^2 + 2*be2*Z - 2
       eq3.3: S^3 - 2*al3*S^2 + 2*be3*S - 4
     For d = 3 only the 2.x equations plus V^3 - 16 are checked.
+
+    j, the values and the residuals come from the boosted W (w_hi, computed
+    here unless given) and are rounded back to P, the report's precision.
     """
     P = ctx.prec
     a3, b3 = a3b3
-    w = schlafli_w(ctx)
+    w = w_hi if w_hi is not None else boosted_w(ctx)
     t_val = w.pow_int(2) / 2
     u = w.pow_int(8) / 16
     a2 = Fraction(a3 * a3 - b3)
     b2 = Fraction(b3 * b3 - 8 * a3, 2)
-    j = j_invariant(ctx)
+    j = j_invariant(ctx, w)
     g2 = gamma2_of(j)
 
     rep = TowerReport(
@@ -319,13 +332,16 @@ def verify_tower(
             al2 = Fraction(al3 * al3 - be3)
             be2 = Fraction(be3 * be3 - 4 * al3, 2)
             rep.al3, rep.be3, rep.al2, rep.be2 = al3, be3, al2, be2
-            eps = (w / fr.sqrt2(P)).cbrt()
-            s = fr.sqrt2(P) * eps
+            r2 = fr.sqrt2(w.prec)
+            eps = (w / r2).cbrt()
+            s = r2 * eps
             z = eps.pow_int(2)
             rep.values["S"] = s
             rep.values["Z"] = z
             rep.residuals["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
             rep.residuals["eq3.2"] = _cubic_residual(z, -2 * al2, 2 * be2, -2)
+    rep.values = {k: x.round_to(P) for k, x in rep.values.items()}
+    rep.residuals = {k: x.round_to(P) for k, x in rep.residuals.items()}
     return rep
 
 
@@ -338,9 +354,9 @@ def weber_product_selftest(prec: int) -> FixedReal:
     piv = fr.pi(P)
     q = fr.exp(-piv)
     one = FixedReal.from_int(1, P)
-    s0 = fr.exp(piv / 24)          # q^(-1/24)
-    s1 = fr.exp(piv / 24)
-    s2 = fr.sqrt2(P) * fr.exp(-piv / 12)   # sqrt2 * q^(1/12)
+    r2 = fr.sqrt2(P)
+    s0 = s1 = fr.exp(piv / 24)     # q^(-1/24)
+    s2 = r2 * fr.exp(-piv / 12)    # sqrt2 * q^(1/12)
     q2 = q.pow_int(2)
     q_odd = q                       # q^(2n-1)
     q_even = q2                     # q^(2n)
@@ -350,16 +366,16 @@ def weber_product_selftest(prec: int) -> FixedReal:
         s2 = s2 * (one + q_even)
         q_odd = q_odd * q2
         q_even = q_even * q2
-    return s0 * s1 * s2 - fr.sqrt2(P)
+    return s0 * s1 * s2 - r2
 
 
 def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     """The embedded (a3, b3) and (al3, be3) integer pairs for a d with
-    class number one, taken from the point tables."""
-    from .curves import paper_points
+    class number one, taken from the rational point tables."""
+    from .curves import paper_points, rational_paper_points
 
     a3b3 = None
-    for rec in paper_points(CurveId.K3):
+    for rec in rational_paper_points(CurveId.K3):
         if rec.d == d:
             a3b3 = (int(rec.pt[0]), int(rec.pt[1]))
     al3be3 = None

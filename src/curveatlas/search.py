@@ -120,6 +120,7 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     """
     spec = SearchSpec(CurveId.KS, SearchMode.RATIONAL_HEIGHT, H, partitions)
     start = time.monotonic()
+    partitions = min(partitions, 2 * H + 1)  # further classes hold no p
     tasks = [(H, r, partitions) for r in range(partitions)]
     if jobs > 1 and partitions > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, partitions)) as pool:
@@ -165,6 +166,7 @@ def search_integral(
     """
     spec = SearchSpec(curve, SearchMode.INTEGRAL_BOX, B, partitions)
     start = time.monotonic()
+    partitions = min(partitions, 2 * B + 1)  # further classes hold no x
     tasks = [(curve.name, B, r, partitions) for r in range(partitions)]
     if jobs > 1 and partitions > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, partitions)) as pool:

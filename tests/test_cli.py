@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import curveatlas
-from curveatlas import modular
+from curveatlas import cli, modular
 from curveatlas.cli import build_parser, main
 
 
@@ -123,6 +123,51 @@ class TestModularFailures:
         monkeypatch.setattr(modular, "gamma2_of", lambda j: None)
         failed = failing_checks(capsys, "verify-tower", "--d", "11")
         assert "not a perfect cube" in failed["tower:d=11:residuals"]
+
+    def test_modular_reports_each_failure_once(self, capsys):
+        failed = failing_checks(capsys, "modular", "--d", "35")
+        assert sorted(failed) == [
+            "modular:d=35:j", "modular:d=35:pair", "tower:d=35:labels",
+        ]
+        assert len(set(failed.values())) == len(failed)
+
+    def test_quadratic_table_d_has_no_table_pair(self, capsys):
+        # d = 51 labels a quadratic K3 point, not an integer pair
+        failed = failing_checks(capsys, "modular", "--d", "51")
+        assert "no table pair" in failed["tower:d=51:labels"]
+
+
+def count_engine_calls(monkeypatch):
+    """Count ModularContext.create and schlafli_w calls from here on."""
+    calls = {"create": 0, "schlafli_w": 0}
+    create = modular.ModularContext.create
+    schlafli_w = modular.schlafli_w
+
+    def counted_create(cls, *args, **kwargs):
+        calls["create"] += 1
+        return create(*args, **kwargs)
+
+    def counted_w(ctx):
+        calls["schlafli_w"] += 1
+        return schlafli_w(ctx)
+
+    monkeypatch.setattr(modular.ModularContext, "create", classmethod(counted_create))
+    monkeypatch.setattr(modular, "schlafli_w", counted_w)
+    monkeypatch.setattr(cli, "schlafli_w", counted_w)
+    return calls
+
+
+@pytest.mark.parametrize("argv, n_d", [
+    (["verify-tower", "--d", "163"], 1),
+    (["verify-tower"], 6),
+    (["modular", "--d", "163"], 1),
+    (["modular", "--d", "35"], 1),
+], ids=["verify-tower-163", "verify-tower-all", "modular-163", "modular-35"])
+def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, monkeypatch, capsys):
+    calls = count_engine_calls(monkeypatch)
+    main(argv)
+    capsys.readouterr()
+    assert calls == {"create": 2 * n_d, "schlafli_w": 2 * n_d}
 
 
 @pytest.mark.parametrize("argv", [

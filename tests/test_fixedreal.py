@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveatlas.fixedreal import (
     FixedReal, IndistinguishableFromZeroError, PrecisionMismatchError,
@@ -136,6 +138,36 @@ class TestComparisonsAndRecognition:
         n, defect = x.nearest_int()
         assert n == 3
         assert abs(defect.to_fraction() if hasattr(defect, "to_fraction") else defect) <= F(1, 50)
+
+
+class TestRoundTo:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_exact_value_stays_within_widened_radius(self, data):
+        # a FixedReal at prec + k bits whose radius covers x, rounded to prec
+        prec = data.draw(st.integers(1, 200), label="prec")
+        k = data.draw(st.integers(0, 200), label="k")
+        m = data.draw(st.one_of(
+            st.integers(-(1 << (prec + k + 8)), 1 << (prec + k + 8)),
+            # rounding ties
+            st.integers(-(1 << 20), 1 << 20).map(lambda n: (2 * n + 1) << max(k - 1, 0)),
+        ), label="mantissa")
+        err = data.draw(st.integers(0, 1 << (k + 8)), label="errbits")
+        offset = data.draw(st.one_of(st.integers(-err, err), st.sampled_from([-err, err])))
+        x = F(m + offset, 1 << (prec + k))
+        r = FixedReal(m, prec + k, err).round_to(prec)
+        assert r.prec == prec
+        assert abs(r.to_fraction() - x) <= r.error_radius()
+
+    def test_keeps_value_and_tightens(self):
+        w = FixedReal(SQRT2_60.numerator * (1 << 300) // SQRT2_60.denominator, 300, 5)
+        r = w.round_to(128)
+        assert r.errbits == 2
+        assert abs(r.to_fraction() - SQRT2_60) <= r.error_radius()
+
+    def test_cannot_round_up(self):
+        with pytest.raises(ValueError):
+            FixedReal.from_int(1, 64).round_to(128)
 
 
 class TestErrorBoundSoundness:

@@ -10,8 +10,8 @@ from curveatlas.fixedreal import FixedReal
 from curveatlas.kernel import is_squarefree
 from curveatlas.modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, default_precision, gamma2_of, j_invariant, paper_labels,
-    recover_pair, schlafli_w, series_length, verify_tower,
+    RecoveryError, boosted_w, default_precision, gamma2_of, j_invariant,
+    paper_labels, recover_pair, schlafli_w, series_length, verify_tower,
     weber_product_selftest,
 )
 
@@ -223,6 +223,33 @@ class TestVerifyTower:
         rep = verify_tower(ctx, a3b3, al3be3)
         assert rep.all_pass(), rep.failed()
 
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_residuals_clear_threshold_by_32_bits(self, d):
+        # eq2.1 multiplies U's error by j ~ exp(pi*sqrt(d)); evaluated from
+        # the boosted W, every residual keeps a wide margin at P
+        ctx = ModularContext.create(d)
+        rep = verify_tower(ctx, *paper_labels(d))
+        assert rep.prec == ctx.prec
+        for eq, r in rep.residuals.items():
+            assert r.prec == ctx.prec, eq
+            assert r.magnitude_below(rep.threshold_bits() + 32), eq
+
+    def test_reuses_supplied_boosted_w(self):
+        ctx = ModularContext.create(67)
+        w_hi = boosted_w(ctx)
+        assert w_hi.prec > ctx.prec
+        assert j_invariant(ctx, w_hi) == j_invariant(ctx) == EXPECTED_J[67]
+        with mock.patch.object(modular, "schlafli_w") as sw:
+            rep = verify_tower(ctx, (7, 26), (-1, 2), w_hi=w_hi)
+        sw.assert_not_called()
+        ref = verify_tower(ctx, (7, 26), (-1, 2))
+        assert rep.j == ref.j == EXPECTED_J[67]
+        for key in ref.values:
+            assert rep.values[key].mantissa == ref.values[key].mantissa, key
+        assert rep.values["W"].prec == ctx.prec
+        assert abs(rep.values["W"].to_fraction()
+                   - schlafli_w(ctx).to_fraction()) < F(1, 1 << (ctx.prec - 8))
+
     def test_d3_checks_only_base_equations(self):
         ctx = ModularContext.create(3)
         rep = verify_tower(ctx, (3, 6))
@@ -269,3 +296,10 @@ def test_paper_labels():
     assert paper_labels(3) == ((3, 6), (0, 0))
     with pytest.raises(KeyError):
         paper_labels(7)
+
+
+def test_paper_labels_skip_quadratic_points():
+    # the class-number-two fields have quadratic K3 points, no integer pair
+    for d in (51, 123, 267):
+        with pytest.raises(KeyError):
+            paper_labels(d)

@@ -182,6 +182,38 @@ def test_pool_never_exceeds_partitions(monkeypatch, run):
     assert pooled.scanned == serial.scanned
 
 
+@pytest.mark.parametrize("run", [
+    lambda parts: search_ks(5, partitions=parts, jobs=2),
+    lambda parts: search_integral(CurveId.K1, 5, partitions=parts, jobs=2),
+], ids=["ks", "integral"])
+def test_partitions_clamped_to_residue_classes(monkeypatch, run):
+    # p (or x) ranges over 2*5 + 1 = 11 values, so more than 11 residue
+    # classes would only add empty tasks; a fake executor counts the tasks
+    counts = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            counts.append(len(tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
+    few = run(4)
+    many = run(200000)
+    assert counts == [4, 11]
+    assert many.points() == few.points()
+    assert many.scanned == few.scanned
+
+
 class TestReconcile:
     def test_ks_table_clean(self):
         rep = reconcile(search_ks(200, partitions=4, jobs=2),
