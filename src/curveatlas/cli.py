@@ -296,6 +296,7 @@ def checks_search(report: Report, curve: CurveId, bound: int,
         f"found {len(res.found)} points, scanned {res.scanned}, "
         f"both={len(rec.both)}, paper_only={len(rec.paper_only)}, "
         f"search_only={len(rec.search_only)} in {res.elapsed:.2f}s",
+        scanned=res.scanned, candidates=res.candidates,
     )
     for r in res.found:
         report.add(
@@ -387,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     bits = _bounded_int(BITS_MIN, BITS_MAX)
     bits_help = f"working precision, {BITS_MIN} to {BITS_MAX} bits (default: sized to d)"
     positive = _bounded_int(1)
+    kept_help = "accepted, >= 1; searches run in one process whatever its value"
 
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -409,15 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", choices=("ks", "k1", "k3"), required=True)
     p.add_argument("--height", type=positive, help="z-height bound (ks)")
     p.add_argument("--box", type=positive, help="|x| bound (k1/k3)")
-    p.add_argument("--partitions", type=positive, default=4)
-    p.add_argument("--jobs", type=positive, default=1)
+    p.add_argument("--partitions", type=positive, default=4, help=kept_help)
+    p.add_argument("--jobs", type=positive, default=1, help=kept_help)
     common(p)
 
     p = sub.add_parser("report", help="full battery")
     p.add_argument("--bits", type=bits, help=bits_help)
     p.add_argument("--height", type=positive, default=200)
     p.add_argument("--box", type=positive, default=50)
-    p.add_argument("--jobs", type=positive, default=1)
+    p.add_argument("--jobs", type=positive, default=1, help=kept_help)
     common(p)
     return ap
 

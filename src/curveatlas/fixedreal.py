@@ -37,6 +37,25 @@ def _rshift_round(n: int, k: int) -> int:
     return -((-n + half) >> k)
 
 
+def _scientific(x: Fraction, digits: int) -> str:
+    """x as d.ddd...e+XX with `digits` significant digits and |x| rounded
+    up, so a rendered error radius is still a bound.  Exact at every
+    magnitude, where float(x) overflows past about 1.8e308."""
+    if x == 0:
+        return f"{0:.{digits - 1}e}"
+    sign, x = "-" if x < 0 else "", abs(x)
+    # within 1 of floor(log10(x)), then exact
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    m = str(-(-x * Fraction(10) ** (digits - 1 - e) // 1))
+    if len(m) > digits:  # rounded up to 10^digits
+        m, e = m[:digits], e + 1
+    return f"{sign}{m[0]}.{m[1:]}e{e:+03d}"
+
+
 class FixedReal:
     __slots__ = ("mantissa", "prec", "errbits")
 
@@ -93,10 +112,11 @@ class FixedReal:
         s = f"{abs(scaled):0{digits + 1}d}"
         sign = "-" if scaled < 0 else ""
         val = f"{sign}{s[:-digits]}.{s[-digits:]}"
-        return f"{val} (+/- {float(self.error_radius()):.3e})"
+        return f"{val} (+/- {_scientific(self.error_radius(), 4)})"
 
     def __repr__(self):
-        return f"FixedReal({float(self):.12g}, prec={self.prec}, err={self.errbits})"
+        value = _scientific(self.to_fraction(), 12)
+        return f"FixedReal({value}, prec={self.prec}, err={self.errbits})"
 
     # -- helpers ------------------------------------------------------------
 

@@ -206,6 +206,19 @@ class TestSearchCommand:
         pts = [c for c in data["checks"] if c["id"].startswith("search:Ks:point:")]
         assert len(pts) == 9
 
+    @pytest.mark.parametrize("argv, cid, scanned", [
+        (["--curve", "ks", "--height", "25"], "search:Ks:bound=25", 4 * 200 - 1),
+        (["--curve", "k3", "--box", "30"], "search:K3:bound=30", 61),
+    ])
+    def test_search_check_reports_work(self, capsys, argv, cid, scanned):
+        # scanned: reduced p/q with height <= 25 (Phi(25) = 200), or x in
+        # [-30, 30]; candidates: those that reached the exact test
+        code, out = run(capsys, "search", *argv, "--format", "json")
+        check = next(c for c in json.loads(out)["checks"] if c["id"] == cid)
+        assert check["details"].startswith(f"found 9 points, scanned {scanned}, both=9")
+        assert check["values"]["scanned"] == str(scanned)
+        assert 0 < int(check["values"]["candidates"]) < scanned // 4
+
     def test_search_csv(self, capsys):
         code, out = run(capsys, "search", "--curve", "k1", "--box", "5",
                         "--format", "csv")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -223,3 +224,26 @@ class TestErrorBoundSoundness:
                 continue
             gap = abs(lo.to_fraction() - hi.to_fraction())
             assert gap <= lo.error_radius() + hi.error_radius(), tree
+
+
+class TestRendering:
+    def test_huge_radius_renders_exactly(self):
+        # the radius 2^2000 / 2^16 is far beyond float range
+        x = FixedReal(3 << 16, 16, 1 << 2000)
+        text = x.decimal(10)
+        assert text.startswith("3.0000000000 (+/- ")
+        shown = F(text.split("+/- ")[1].rstrip(")"))
+        assert x.error_radius() <= shown <= x.error_radius() * F(1001, 1000)
+        assert "prec=16" in repr(x)
+
+    def test_huge_value_repr(self):
+        assert repr(FixedReal(-1 << 2100, 16)).startswith("FixedReal(-2.22080774690e+627,")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**80), st.integers(0, 200))
+    def test_radius_rounded_up_to_four_digits(self, errbits, prec):
+        # the rendered radius is still a bound, and keeps the %.3e layout
+        shown = FixedReal(0, prec, errbits).decimal(4).split("+/- ")[1].rstrip(")")
+        assert re.fullmatch(r"\d\.\d{3}e[+-]\d{2,}", shown)
+        r = F(errbits, 2**prec)
+        assert r <= F(shown) and (F(shown) - r) * 1000 <= F(shown)

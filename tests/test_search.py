@@ -1,12 +1,23 @@
+import concurrent.futures
+import multiprocessing.process
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curveatlas import search
-from curveatlas.curves import CurveId, paper_points, rational_paper_points
-from curveatlas.kernel import rational_sqrt
+from curveatlas.curves import (
+    CurveId, defining_poly, paper_points, rational_paper_points,
+)
+from curveatlas.kernel import integer_roots, rational_sqrt
 from curveatlas.search import (
     ReconcileReport, SearchMode, SearchSpec, reconcile, search_integral,
     search_ks,
@@ -117,7 +128,7 @@ def brute_force_ks(H):
     return hits, scanned
 
 
-@pytest.mark.parametrize("H", [1, 2, 5, 17, 60])
+@pytest.mark.parametrize("H", [1, 2, 5, 17, 60, 120, 200])
 def test_ks_scan_matches_brute_force(H):
     hits, scanned = brute_force_ks(H)
     for partitions in (1, 2, 3, 4):
@@ -156,62 +167,92 @@ class TestIntegralSearch:
     lambda jobs: search_ks(30, partitions=3, jobs=jobs),
     lambda jobs: search_integral(CurveId.K3, 20, partitions=3, jobs=jobs),
 ], ids=["ks", "integral"])
-def test_pool_never_exceeds_partitions(monkeypatch, run):
-    # a fork pool starts all max_workers processes on the first submit, so
-    # a large --jobs must not reach the executor; a fake records the size
-    sizes = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+def test_jobs_start_no_process(monkeypatch, run):
+    # both searches run in the calling process whatever --jobs says
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search started a process")
 
     serial = run(1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
-    pooled = run(5000)
-    assert sizes == [3]
-    assert pooled.points() == serial.points()
-    assert pooled.scanned == serial.scanned
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    many = run(5000)
+    assert many.points() == serial.points()
+    assert many.scanned == serial.scanned
 
 
 @pytest.mark.parametrize("run", [
     lambda parts: search_ks(5, partitions=parts, jobs=2),
     lambda parts: search_integral(CurveId.K1, 5, partitions=parts, jobs=2),
 ], ids=["ks", "integral"])
-def test_partitions_clamped_to_residue_classes(monkeypatch, run):
-    # p (or x) ranges over 2*5 + 1 = 11 values, so more than 11 residue
-    # classes would only add empty tasks; a fake executor counts the tasks
-    counts = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            counts.append(len(tasks))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
-    few = run(4)
-    many = run(200000)
-    assert counts == [4, 11]
+def test_partitions_do_not_change_the_answer(run):
+    few, many = run(4), run(200000)
     assert many.points() == few.points()
-    assert many.scanned == few.scanned
+    assert (many.scanned, many.candidates) == (few.scanned, few.candidates)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: search_ks(5, jobs=0),
+    lambda: search_integral(CurveId.K1, 5, jobs=0),
+], ids=["ks", "integral"])
+def test_jobs_must_be_positive(run):
+    with pytest.raises(ValueError):
+        run()
+
+
+def v2(n):
+    return (n & -n).bit_length() - 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_ks_lemma_valuations(p, q):
+    # the lemma behind search_ks: p, q and e pairwise coprime, and e has
+    # 2-adic valuation 3 when p and q are both odd, 0 otherwise
+    assume(gcd(p, q) == 1)
+    e = p**4 + 4 * p**3 * q - 2 * p**2 * q**2 + 4 * p * q**3 + q**4
+    assert gcd(p, e) == 1 and gcd(q, e) == 1
+    assert v2(e) == (3 if p % 2 and q % 2 else 0)
+
+
+@lru_cache(maxsize=None)
+def fibre_roots(curve, B):
+    """{x: integer roots of the fibre at x} for |x| <= B, unsieved."""
+    poly = defining_poly(curve)
+    return {x: integer_roots(poly.specialize_x(x)) for x in range(-B, B + 1)}
+
+
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+def test_sieve_rejects_only_empty_fibres(curve):
+    sieve = search._sieve(curve)
+    assert sieve  # both curves have moduli that reject something
+    roots = fibre_roots(curve, 3000)
+    rejected = [x for x in roots if not all(t[x % m] for m, t in sieve)]
+    assert len(rejected) > 0.9 * len(roots)
+    assert all(roots[x] == [] for x in rejected)
+
+
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+def test_sieved_search_matches_unsieved_scan(curve):
+    roots = fibre_roots(curve, 3000)
+    expected = {(F(x), F(y)) for x, ys in roots.items() if abs(x) <= 2000
+                for y in ys}
+    res = search_integral(curve, 2000)
+    assert set(res.points()) == expected
+    assert res.scanned == 4001
+    assert len({x for x, _ in expected}) <= res.candidates < 100
+
+
+def test_search_tables_not_built_at_import():
+    # the sieve tables take about 10 ms per curve to build; start-up must
+    # not pay for them
+    src = str(Path(search.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import curveatlas.cli, curveatlas.search as s; "
+            "print(s._sieve.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 class TestReconcile:
