@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: rationals, real quadratic extensions, and
-sparse bivariate polynomials with integer coefficients.
+sparse bivariate polynomials with rational coefficients.
 
 Rationals are ``fractions.Fraction`` throughout: it already guarantees the
 canonical form we need (positive denominator, gcd(num, den) = 1, structural
@@ -7,7 +7,8 @@ equality, hashable).  This module adds the pieces the rest of the package
 needs on top of that: exact square roots, integer roots of univariate
 integer polynomials, the integer solutions of a linear congruence inside a
 band (by 2-D lattice reduction), quadratic extension elements
-a + b*sqrt(m), and polynomial evaluation that stays exact over either field.
+a + b*sqrt(m), and polynomials in Q[x, y] with exact ring arithmetic and
+evaluation that stays exact over either field.
 """
 
 from __future__ import annotations
@@ -381,28 +382,91 @@ def conjugate(x: FieldElement) -> FieldElement:
 
 
 class BivarPoly:
-    """Sparse polynomial sum c_ij x^i y^j with integer coefficients.
+    """Sparse polynomial sum c_ij x^i y^j with exact rational coefficients.
 
-    Immutable; evaluation is exact over Fraction or QuadRat inputs and uses
-    nested Horner over the sparse support.
+    Immutable.  Coefficients are kept exact and canonical: integral values
+    are ints, others Fractions, and zero terms are dropped, so two
+    polynomials are equal exactly when their term dicts are.  The ring
+    operations (+, -, *, ** by a non-negative int, / by a nonzero scalar)
+    stay in Q[x, y] and coerce int and Fraction scalars on either side; a
+    polynomial equals a scalar only when it is that constant.  Evaluation
+    is exact over Fraction, QuadRat or BivarPoly inputs and uses nested
+    Horner over the sparse support.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, int]):
+    def __init__(self, terms: Mapping[tuple, Scalar]):
         cleaned = {}
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("negative exponent")
+            c = _exact(c)
             if c != 0:
-                cleaned[(i, j)] = int(c)
+                cleaned[(i, j)] = c
         self.terms = cleaned
 
     def __eq__(self, other):
-        return isinstance(other, BivarPoly) and self.terms == other.terms
+        o = _as_poly(other)
+        return o if o is NotImplemented else self.terms == o.terms
 
     def __hash__(self):
+        if not self.terms.keys() - {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        o = _as_poly(other)
+        if o is NotImplemented:
+            return o
+        out = dict(self.terms)
+        for k, c in o.terms.items():
+            out[k] = out.get(k, 0) + c
+        return BivarPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return BivarPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = _as_poly(other)
+        return o if o is NotImplemented else self + -o
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _as_poly(other)
+        if o is NotImplemented:
+            return o
+        out: dict = {}
+        for (i, j), c in self.terms.items():
+            for (k, l), d in o.terms.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + c * d
+        return BivarPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero int or Fraction; never by a polynomial."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("polynomial divided by zero")
+        return self * (1 / Fraction(other))
+
+    def __pow__(self, e):
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            raise ValueError("negative power of a polynomial")
+        out = BivarPoly({(0, 0): 1})
+        for bit in bin(e)[2:]:  # left to right: square, then times self
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def __call__(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return self.evaluate(x, y)
@@ -450,13 +514,32 @@ class BivarPoly:
             return "BivarPoly(0)"
         parts = []
         for (i, j), c in sorted(self.terms.items(), reverse=True):
-            s = f"{c:+d}"
+            s = f"{'-' if c < 0 else '+'}{abs(c)}"
             if i:
                 s += f"*x^{i}" if i > 1 else "*x"
             if j:
                 s += f"*y^{j}" if j > 1 else "*y"
             parts.append(s)
         return "BivarPoly(" + " ".join(parts) + ")"
+
+
+def _exact(c) -> Scalar:
+    """The exact value of a rational coefficient: an int when integral,
+    else a Fraction.  Never truncates."""
+    if isinstance(c, int):
+        return int(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_poly(x) -> "BivarPoly":
+    """x as a polynomial: itself, a constant for an int or Fraction, else
+    NotImplemented."""
+    if isinstance(x, BivarPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return BivarPoly({(0, 0): x})
+    return NotImplemented
 
 
 def _power(x: FieldElement, e: int) -> FieldElement:

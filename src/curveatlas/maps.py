@@ -3,8 +3,10 @@ curves, with domain checks.
 
 All maps are rational maps of the affine plane: they accept arbitrary exact
 inputs (Fraction or QuadRat coordinates) and only promise to land on the
-target curve when the input lies on the source curve.  Domain errors name
-every denominator factor that vanishes at the input.
+target curve when the input lies on the source curve.  The maps with no
+branch and no division by a variable also accept BivarPoly coordinates,
+which turns an identity between them into an equality in Q[a, b].  Domain
+errors name every denominator factor that vanishes at the input.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .curves import CurveId
+from .curves import CurveId, is_on_curve
 from .kernel import BivarPoly, FieldElement
 
 Pair = Tuple[FieldElement, FieldElement]
@@ -80,8 +82,9 @@ def pell_params(p: Pair) -> Optional[PellTriple]:
 
 def euler_resolvent_check(p: Pair) -> bool:
     """With (a2, b2) the image of (a3, b3) under cover_k3_to_k6, check that
-    z = a3 satisfies z^4 - 2*a2*z^2 - 8*z + (a2^2 - 2*b2) = 0.  This is a
-    polynomial identity, so it holds for every exact input."""
+    z = a3 satisfies z^4 - 2*a2*z^2 - 8*z + (a2^2 - 2*b2) = 0.  This is an
+    identity in Q[a3, b3]: on the generic pair of BivarPoly variables the
+    check returns True, which proves it for every exact input."""
     a3, _ = p
     a2, b2 = cover_k3_to_k6(p)
     z = a3
@@ -170,11 +173,12 @@ def ks_to_k3(p: Pair) -> Pair:
 
 
 _W_DEN_FACTORS = [
-    ("x-1", BivarPoly({(1, 0): 1, (0, 0): -1})),
-    ("x^2+1", BivarPoly({(2, 0): 1, (0, 0): 1})),
-    ("x^2-2x-1", BivarPoly({(2, 0): 1, (1, 0): -2, (0, 0): -1})),
-    ("x^2+2x+3", BivarPoly({(2, 0): 1, (1, 0): 2, (0, 0): 3})),
-    ("(x+1)^5", BivarPoly({(1, 0): 1, (0, 0): 1})),
+    # (name, base polynomial, exponent) of each factor of the w-denominator
+    ("x-1", BivarPoly({(1, 0): 1, (0, 0): -1}), 1),
+    ("x^2+1", BivarPoly({(2, 0): 1, (0, 0): 1}), 1),
+    ("x^2-2x-1", BivarPoly({(2, 0): 1, (1, 0): -2, (0, 0): -1}), 1),
+    ("x^2+2x+3", BivarPoly({(2, 0): 1, (1, 0): 2, (0, 0): 3}), 1),
+    ("(x+1)^5", BivarPoly({(1, 0): 1, (0, 0): 1}), 5),
 ]
 
 
@@ -197,10 +201,8 @@ def k3_to_ks(p: Pair) -> Pair:
     z_den = 2 * x**4 + 2 * x**3 - 3 * x * x * y - 2 * x * y + 6 * x - y + 2
     bad = []
     w_den = None
-    for name, f in _W_DEN_FACTORS:
-        v = f.evaluate(x, y)
-        if name == "(x+1)^5":
-            v = v**5
+    for name, f, e in _W_DEN_FACTORS:
+        v = f.evaluate(x, y) ** e
         if not _nonzero(v):
             bad.append(name)
         else:
@@ -214,7 +216,6 @@ def k3_to_ks(p: Pair) -> Pair:
         w = -2 * _P12.evaluate(x, y) / w_den
         return (z, w)
     # Removable singularity of the printed formula: only usable on K3.
-    from .curves import CurveId, is_on_curve
     if is_on_curve(CurveId.K3, p) and _nonzero(2 * z + 6):
         d_z = z**4 + 4 * z**3 - 2 * z * z - 12 * z + 1
         w = -(x * d_z + z**4 + 8 * z**3 + 18 * z * z - 3) / (2 * z + 6)

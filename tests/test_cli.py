@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import jsonschema
 import pytest
 
 import curveatlas
-from curveatlas import cli, modular
+from curveatlas import cli, maps, modular
 from curveatlas.cli import build_parser, main
+from curveatlas.curves import CurveId, defining_poly, paper_points
 
 
 def run(capsys, *argv):
@@ -62,6 +64,61 @@ class TestVerifyMaps:
         assert "map:euler-resolvent" in ids
         assert any(i.startswith("map:pell:") for i in ids)
         assert any(i.startswith("map:k3_to_ks:exceptional") for i in ids)
+
+    def test_identities_are_proved_in_q_ab(self, capsys):
+        _, out = run(capsys, "verify-maps", "--format", "json")
+        by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+        for cid in ("map:commuting-square", "map:euler-resolvent"):
+            assert by_id[cid]["status"] == "pass"
+            assert by_id[cid]["details"].endswith(
+                "identity in Q[a,b] and the 6 K1 table inputs")
+
+    def test_exceptional_point_without_domain_error(self, monkeypatch):
+        monkeypatch.setattr(cli, "k3_to_ks", lambda p: (Fraction(0), Fraction(0)))
+        by_id = verify_maps_checks()
+        for pid in ("map:k3_to_ks:exceptional:(1,2)",
+                    "map:k3_to_ks:exceptional:(-1,-2)"):
+            assert by_id[pid].status == "fail"
+            assert by_id[pid].details == "no domain error"
+        assert not any("Fraction" in cid for cid in by_id)
+
+    def test_square_fails_for_a_map_right_only_on_the_table(self, monkeypatch):
+        # K1(al3, be3) vanishes at every K1 table input, not identically
+        bent = off_k1(maps.k1_to_k3)
+        table = [rec.pt for rec in paper_points(CurveId.K1)]
+        assert all(
+            maps.cover_k3_to_k6(bent(p)) == maps.k2_to_k6(maps.pair_k1_to_k2(p))
+            for p in table
+        )
+        monkeypatch.setattr(cli, "k1_to_k3", bent)
+        by_id = verify_maps_checks()
+        assert by_id["map:commuting-square"].status == "fail"
+        assert by_id["map:euler-resolvent"].status == "pass"
+
+    def test_resolvent_fails_for_a_map_right_only_on_the_table(self, monkeypatch):
+        monkeypatch.setattr(maps, "cover_k3_to_k6", off_k1(maps.cover_k3_to_k6))
+        table = [rec.pt for rec in paper_points(CurveId.K1)]
+        assert all(maps.euler_resolvent_check(p) for p in table)
+        by_id = verify_maps_checks()
+        assert by_id["map:euler-resolvent"].status == "fail"
+        assert by_id["map:commuting-square"].status == "pass"
+
+
+def verify_maps_checks():
+    report = cli.Report("verify-maps")
+    cli.checks_verify_maps(report)
+    return {c.id: c for c in report.checks}
+
+
+def off_k1(f):
+    """f with K1's defining polynomial at the input added to its first
+    coordinate: the same map at every point of K1, a different one in Q[a,b]."""
+    k1 = defining_poly(CurveId.K1)
+
+    def bent(p):
+        u, v = f(p)
+        return (u + k1.evaluate(*p), v)
+    return bent
 
 
 class TestModularCommands:

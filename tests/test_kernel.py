@@ -304,3 +304,93 @@ class TestBivarPoly:
         rhs = K3_POLY.evaluate(x, y)
         rhs = rhs.conjugate() if isinstance(rhs, QuadRat) else rhs
         assert lhs == rhs
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+bivar_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_rationals, max_size=6,
+).map(BivarPoly)
+points = st.one_of(
+    st.tuples(small_rationals, small_rationals),
+    st.tuples(quad_elems, quad_elems),
+)
+X, Y = BivarPoly({(1, 0): 1}), BivarPoly({(0, 1): 1})
+
+
+class TestBivarPolyArithmetic:
+    def test_fraction_coefficients_are_not_truncated(self):
+        # int(c) once turned this into {(0, 0): 0, (1, 0): 1}
+        p = BivarPoly({(0, 0): F(1, 2), (1, 0): F(3, 2)})
+        assert p.terms == {(0, 0): F(1, 2), (1, 0): F(3, 2)}
+        assert p.evaluate(F(1), F(0)) == 2
+        assert p != BivarPoly({(1, 0): 1})
+
+    def test_integral_fractions_become_ints_and_zeros_drop(self):
+        p = BivarPoly({(0, 0): F(4, 2), (1, 0): F(0, 3), (0, 1): F(-3, 1)})
+        assert p.terms == {(0, 0): 2, (0, 1): -3}
+        assert all(type(c) is int for c in p.terms.values())
+        assert BivarPoly({(2, 2): F(1, 2)}) * 2 == X**2 * Y**2
+
+    def test_equals_a_scalar_only_as_that_constant(self):
+        assert BivarPoly({}) == 0 and hash(BivarPoly({})) == hash(0)
+        assert BivarPoly({(0, 0): 3}) == 3 and hash(BivarPoly({(0, 0): 3})) == hash(3)
+        half = BivarPoly({(0, 0): F(1, 2)})
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        assert len({3, BivarPoly({(0, 0): 3})}) == 1
+        assert X != 0 and X + 3 != 3 and BivarPoly({(0, 0): 3}) != 4
+        assert X != QuadRat(17, F(0), F(1))
+
+    def test_expansion(self):
+        assert (X + Y) ** 2 == X * X + 2 * X * Y + Y * Y
+        assert (X - 1) * (X + 1) == X**2 - 1
+        assert 1 - X == -(X - 1)
+        assert (X**2 - Y) / 2 == BivarPoly({(2, 0): F(1, 2), (0, 1): F(-1, 2)})
+        assert X**0 == 1
+
+    def test_rejected_operations(self):
+        with pytest.raises(ZeroDivisionError):
+            X / 0
+        with pytest.raises(TypeError):
+            1 / X
+        with pytest.raises(TypeError):
+            X / Y
+        with pytest.raises(ValueError):
+            X ** -1
+        with pytest.raises(TypeError):
+            X + QuadRat(17, F(1), F(1))
+        with pytest.raises(TypeError):
+            BivarPoly({(0, 0): QuadRat(17, F(1), F(1))})
+
+    def test_repr_shows_fractions(self):
+        assert repr(X / 2 - 3) == "BivarPoly(+1/2*x -3)"
+
+    @settings(max_examples=200)
+    @given(bivar_polys, bivar_polys, points, small_rationals)
+    def test_evaluation_is_a_ring_homomorphism(self, p, q, pt, c):
+        x, y = pt
+        px, qx = p.evaluate(x, y), q.evaluate(x, y)
+        assert (p + q).evaluate(x, y) == px + qx
+        assert (p - q).evaluate(x, y) == px - qx
+        assert (-p).evaluate(x, y) == -px
+        assert (p * q).evaluate(x, y) == px * qx
+        for e in range(4):
+            assert (p**e).evaluate(x, y) == px**e
+        assert (c + p).evaluate(x, y) == c + px
+        assert (p + c).evaluate(x, y) == px + c
+        assert (c - p).evaluate(x, y) == c - px
+        assert (p - c).evaluate(x, y) == px - c
+        assert (c * p).evaluate(x, y) == c * px
+        assert (p * c).evaluate(x, y) == px * c
+        if c != 0:
+            assert (p / c).evaluate(x, y) == px / c
+            assert (p / c.numerator).evaluate(x, y) == px / c.numerator
+
+    @settings(max_examples=100)
+    @given(bivar_polys, bivar_polys, points)
+    def test_evaluation_at_polynomials_is_composition(self, p, q, pt):
+        # p(q, X) evaluated at (x, y) is p at (q(x, y), x)
+        x, y = pt
+        composed = p.evaluate(q, X)  # a scalar when p is constant
+        if isinstance(composed, BivarPoly):
+            composed = composed.evaluate(x, y)
+        assert composed == p.evaluate(q.evaluate(x, y), x)
