@@ -89,6 +89,12 @@ def defining_poly(c: CurveId) -> BivarPoly:
     return BivarPoly(_POLYS[c])
 
 
+@lru_cache(maxsize=None)
+def _partials(c: CurveId) -> Tuple[BivarPoly, BivarPoly]:
+    f = defining_poly(c)
+    return f.partial_x(), f.partial_y()
+
+
 def is_on_curve(c: CurveId, p: Point2) -> bool:
     u, v = p
     return defining_poly(c).evaluate(u, v) == 0
@@ -98,9 +104,9 @@ def is_singular_point(c: CurveId, p: Point2) -> bool:
     """True iff both formal partials vanish at p.  Requires p on the curve."""
     if not is_on_curve(c, p):
         raise ValueError(f"{p} is not on {c}")
-    f = defining_poly(c)
+    fx, fy = _partials(c)
     u, v = p
-    return f.partial_x().evaluate(u, v) == 0 and f.partial_y().evaluate(u, v) == 0
+    return fx.evaluate(u, v) == 0 and fy.evaluate(u, v) == 0
 
 
 def _F(n, d=1):

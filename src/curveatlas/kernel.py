@@ -7,8 +7,9 @@ equality, hashable).  This module adds the pieces the rest of the package
 needs on top of that: exact square roots, integer roots of univariate
 integer polynomials, the integer solutions of a linear congruence inside a
 band (by 2-D lattice reduction), quadratic extension elements
-a + b*sqrt(m), and polynomials in Q[x, y] with exact ring arithmetic and
-evaluation that stays exact over either field.
+a + b*sqrt(m), and polynomials in Q[x, y] with exact ring arithmetic.
+A polynomial is evaluated at rational or quadratic points in integers over
+one common denominator, and reduced to lowest terms once, at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt
+from math import inf, isqrt, lcm
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -330,13 +331,13 @@ class QuadRat:
     def __pow__(self, e: int):
         if e < 0:
             return 1 / (self ** (-e))
-        out = QuadRat(self.m, Fraction(1), Fraction(0))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return QuadRat(self.m, Fraction(1), Fraction(0))
+        out = self
+        for bit in bin(e)[3:]:  # left to right after the leading 1
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other):
@@ -390,11 +391,15 @@ class BivarPoly:
     operations (+, -, *, ** by a non-negative int, / by a nonzero scalar)
     stay in Q[x, y] and coerce int and Fraction scalars on either side; a
     polynomial equals a scalar only when it is that constant.  Evaluation
-    is exact over Fraction, QuadRat or BivarPoly inputs and uses nested
-    Horner over the sparse support.
+    is exact and returns an element of the inputs' ring.  At int, Fraction
+    and QuadRat inputs it works in integers over one common denominator:
+    the coefficients scaled by their denominator lcm, times power tables of
+    the inputs' numerators and denominators, with a single reduction to
+    lowest terms at the end.  BivarPoly inputs compose by the ring
+    operations.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_scaled")
 
     def __init__(self, terms: Mapping[tuple, Scalar]):
         cleaned = {}
@@ -405,6 +410,7 @@ class BivarPoly:
             if c != 0:
                 cleaned[(i, j)] = c
         self.terms = cleaned
+        self._scaled = None
 
     def __eq__(self, other):
         o = _as_poly(other)
@@ -472,25 +478,76 @@ class BivarPoly:
         return self.evaluate(x, y)
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        """Horner evaluation: group terms by x-degree, Horner in y inside,
-        then Horner in x across (possibly gapped) degrees."""
-        if not self.terms:
-            return Fraction(0)
-        by_x: dict = {}
-        for (i, j), c in self.terms.items():
-            by_x.setdefault(i, {})[j] = c
-        acc = None
-        prev_i = None
-        for i in sorted(by_x, reverse=True):
-            inner = _horner_univariate(by_x[i], y)
-            if acc is None:
-                acc = inner
-            else:
-                acc = acc * _power(x, prev_i - i) + inner
-            prev_i = i
-        if prev_i:
-            acc = acc * _power(x, prev_i)
-        return acc
+        """p(x, y), exact, in the ring of the inputs: a Fraction at int or
+        Fraction inputs, a QuadRat when either input is a QuadRat, and a
+        BivarPoly (the composition) when either input is a BivarPoly.
+
+        At field inputs x = (A + B*sqrt(m))/q and y = (C + D*sqrt(m))/s, with
+        B = D = 0 for rationals, the sum over c*L * (A + B*sqrt(m))^i *
+        q^(dx-i) * (C + D*sqrt(m))^j * s^(dy-j) is taken in integers (pairs
+        of them over Z[sqrt(m)]), and one Fraction per component is formed
+        at the end, over L * q^dx * s^dy: no gcd until then.
+        """
+        if isinstance(x, BivarPoly) or isinstance(y, BivarPoly):
+            return self._compose(x, y)
+        a, b, q, mx = _split(x)
+        c, d, s, my = _split(y)
+        if mx and my and mx != my:
+            raise MixedRadicandError(f"mixed radicands {mx} and {my}")
+        m = mx or my
+        scale, dx, dy, rows = self._scaled_form()
+        if m is None:
+            px, qk = _scaled_powers(a, q, dx)
+            py, sk = _scaled_powers(c, s, dy)
+            total = 0
+            for j, row in rows:
+                total += py[j] * sum([k * px[i] for i, k in row])
+            return Fraction(total, scale * qk * sk)
+        px, qk = _scaled_quad_powers(a, b, m, q, dx)
+        py, sk = _scaled_quad_powers(c, d, m, s, dy)
+        ta = tb = 0
+        for j, row in rows:
+            ua = sum([k * px[i][0] for i, k in row])
+            ub = sum([k * px[i][1] for i, k in row])
+            va, vb = py[j]
+            ta += ua * va + m * ub * vb
+            tb += ua * vb + ub * va
+        den = scale * qk * sk
+        return QuadRat(m, Fraction(ta, den), Fraction(tb, den))
+
+    def _compose(self, x, y) -> "BivarPoly":
+        """p(x, y) by the ring operations: power tables, then a sum over
+        the terms grouped by y-degree."""
+        scale, dx, dy, rows = self._scaled_form()
+        px, py = [x**0], [y**0]
+        for _ in range(dx):
+            px.append(px[-1] * x)
+        for _ in range(dy):
+            py.append(py[-1] * y)
+        zero = px[0] * py[0] * 0
+        out = zero
+        for j, row in rows:
+            out = out + py[j] * sum((k * px[i] for i, k in row), zero)
+        return out / scale
+
+    def _scaled_form(self) -> tuple:
+        """(L, dx, dy, rows): L the lcm of the coefficient denominators, dx
+        and dy the degrees in x and y, and rows the pairs (j, [(i, L*c_ij),
+        ...]) of integer coefficients grouped by y-degree.  Built on first
+        use, so the ring operations never pay for it."""
+        if self._scaled is None:
+            scale = lcm(*(c.denominator for c in self.terms.values()))
+            rows: dict = {}
+            for (i, j), c in self.terms.items():
+                rows.setdefault(j, []).append(
+                    (i, c.numerator * (scale // c.denominator)))
+            self._scaled = (
+                scale,
+                max((i for i, _ in self.terms), default=0),
+                max(rows, default=0),
+                sorted(rows.items()),
+            )
+        return self._scaled
 
     def partial_x(self) -> "BivarPoly":
         return BivarPoly(
@@ -542,22 +599,33 @@ def _as_poly(x) -> "BivarPoly":
     return NotImplemented
 
 
-def _power(x: FieldElement, e: int) -> FieldElement:
-    if e == 0:
-        return 1
-    return x**e
+def _split(v) -> tuple:
+    """(a, b, q, m) in integers with v = (a + b*sqrt(m)) / q and q >= 1;
+    b = 0 and m = None for an int or Fraction."""
+    if isinstance(v, QuadRat):
+        q = lcm(v.a.denominator, v.b.denominator)
+        return (v.a.numerator * (q // v.a.denominator),
+                v.b.numerator * (q // v.b.denominator), q, v.m)
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, 0, v.denominator, None
+    raise TypeError(f"cannot evaluate a polynomial at {type(v).__name__}")
 
 
-def _horner_univariate(coeffs: Mapping[int, int], y: FieldElement):
-    acc = None
-    prev_j = None
-    for j in sorted(coeffs, reverse=True):
-        c = coeffs[j]
-        if acc is None:
-            acc = c if isinstance(c, Fraction) else Fraction(c)
-        else:
-            acc = acc * _power(y, prev_j - j) + c
-        prev_j = j
-    if prev_j:
-        acc = acc * _power(y, prev_j)
-    return acc
+def _scaled_powers(n: int, d: int, k: int) -> tuple:
+    """([n^i * d^(k-i) for i = 0..k], d^k)."""
+    up, down = [1], [1]
+    for _ in range(k):
+        up.append(up[-1] * n)
+        down.append(down[-1] * d)
+    return [u * down[k - i] for i, u in enumerate(up)], down[k]
+
+
+def _scaled_quad_powers(a: int, b: int, m: int, d: int, k: int) -> tuple:
+    """([(P_i * d^(k-i), Q_i * d^(k-i)) for i = 0..k], d^k), where
+    P_i + Q_i*sqrt(m) = (a + b*sqrt(m))^i."""
+    up, down = [(1, 0)], [1]
+    for _ in range(k):
+        p, r = up[-1]
+        up.append((p * a + m * r * b, p * b + r * a))
+        down.append(down[-1] * d)
+    return [(p * down[k - i], r * down[k - i]) for i, (p, r) in enumerate(up)], down[k]

@@ -7,7 +7,7 @@ from curveatlas.curves import (
     is_singular_point, paper_points, rational_paper_points,
     serialize_coord, table_as_json,
 )
-from curveatlas.kernel import QuadRat
+from curveatlas.kernel import BivarPoly, QuadRat
 
 
 F = Fraction
@@ -76,6 +76,16 @@ class TestSingularPoint:
     def test_rejects_off_curve_input(self):
         with pytest.raises(ValueError):
             is_singular_point(CurveId.K3, (F(0), F(0)))
+
+    def test_partials_are_built_once_per_curve(self, monkeypatch):
+        built = []
+        original = BivarPoly.partial_x
+        monkeypatch.setattr(
+            BivarPoly, "partial_x", lambda f: built.append(f) or original(f))
+        for _ in range(3):
+            for r in rational_paper_points(CurveId.K3):
+                is_singular_point(CurveId.K3, r.pt)
+        assert len(built) <= 1
 
 
 class TestTables:

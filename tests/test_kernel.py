@@ -266,6 +266,24 @@ class TestQuadRat:
         assert 2 * u == QuadRat(17, F(2), F(4))
         assert u - 1 == QuadRat(17, F(0), F(2))
 
+    def test_power_by_left_to_right_squaring(self, monkeypatch):
+        # e >= 1 needs (bit length - 1) squarings and (popcount - 1)
+        # further products; x**5 takes 3 multiplications
+        u = QuadRat(89, F(-10, 3), F(-1, 7))
+        expect = QuadRat(89, F(1), F(0))
+        powers = []
+        for e in range(10):
+            powers.append(expect)
+            expect = expect * u
+        calls = []
+        original = QuadRat.__mul__
+        monkeypatch.setattr(
+            QuadRat, "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        for e, expect in enumerate(powers):
+            calls.clear()
+            assert u**e == expect
+            assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+
 
 K2_POLY = BivarPoly({(0, 2): 1, (4, 0): -2, (1, 0): 2})
 K3_POLY = BivarPoly({
@@ -390,7 +408,94 @@ class TestBivarPolyArithmetic:
     def test_evaluation_at_polynomials_is_composition(self, p, q, pt):
         # p(q, X) evaluated at (x, y) is p at (q(x, y), x)
         x, y = pt
-        composed = p.evaluate(q, X)  # a scalar when p is constant
-        if isinstance(composed, BivarPoly):
-            composed = composed.evaluate(x, y)
-        assert composed == p.evaluate(q.evaluate(x, y), x)
+        composed = p.evaluate(q, X)
+        assert isinstance(composed, BivarPoly)
+        assert composed.evaluate(x, y) == p.evaluate(q.evaluate(x, y), x)
+
+
+def reference_value(p, x, y):
+    """p(x, y) as a plain sum of terms, with powers by repeated products,
+    in the field of the inputs."""
+    m = next((v.m for v in (x, y) if isinstance(v, QuadRat)), None)
+    out = F(0) if m is None else QuadRat(m, F(0), F(0))
+    for (i, j), c in p.terms.items():
+        term = c
+        for _ in range(i):
+            term = term * x
+        for _ in range(j):
+            term = term * y
+        out = out + term
+    return out
+
+
+coefficients = st.one_of(
+    st.integers(-10**9, 10**9),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**5),
+)
+sparse_polys = st.one_of(
+    st.dictionaries(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)), coefficients,
+        max_size=10,
+    ),
+    st.builds(lambda c: {(0, 0): c}, coefficients),
+    st.just({}),
+).map(BivarPoly)
+rational_coords = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**12),
+)
+radicands = st.sampled_from([2, 3, 17, 41, 89])
+
+
+@st.composite
+def field_points(draw):
+    """(x, y) with int or Fraction coordinates, or with QuadRat coordinates
+    of one radicand in either or both places."""
+    m = draw(radicands)
+    quad = st.builds(QuadRat, st.just(m), rational_coords, rational_coords)
+    return draw(st.one_of(
+        st.tuples(rational_coords, rational_coords),
+        st.tuples(quad, quad),
+        st.tuples(rational_coords, quad),
+        st.tuples(quad, rational_coords),
+    ))
+
+
+class TestEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_polys, field_points())
+    def test_matches_the_term_by_term_sum(self, p, pt):
+        x, y = pt
+        got, expect = p.evaluate(x, y), reference_value(p, x, y)
+        assert type(got) is type(expect)
+        assert got == expect
+        if isinstance(expect, QuadRat):
+            parts = lambda v: (v.m, v.a.numerator, v.a.denominator,
+                               v.b.numerator, v.b.denominator)
+            assert parts(got) == parts(expect)
+        else:
+            assert (got.numerator, got.denominator) == (
+                expect.numerator, expect.denominator)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_polys, rational_coords, rational_coords)
+    def test_mixed_radicands_are_rejected(self, p, a, b):
+        with pytest.raises(MixedRadicandError):
+            p.evaluate(QuadRat(17, a, b), QuadRat(41, b, a))
+
+    def test_result_follows_the_inputs(self):
+        u = QuadRat(17, F(8), F(2))
+        for p in (BivarPoly({}), BivarPoly({(0, 0): F(-3, 4)}), K2_POLY):
+            assert type(p.evaluate(2, F(1, 3))) is F
+            assert type(p.evaluate(u, 2)) is QuadRat
+            assert type(p.evaluate(F(1, 2), u)) is QuadRat
+            assert type(p.evaluate(X, F(1, 2))) is BivarPoly
+            assert type(p.evaluate(3, Y)) is BivarPoly
+        assert BivarPoly({}).evaluate(u, u) == QuadRat(17, F(0), F(0))
+        assert BivarPoly({(0, 0): 5}).evaluate(X, Y) == 5
+
+    def test_other_inputs_are_rejected(self):
+        with pytest.raises(TypeError):
+            K2_POLY.evaluate(1.5, F(0))
+        with pytest.raises(TypeError):
+            K2_POLY.evaluate(X, QuadRat(17, F(1), F(1)))
