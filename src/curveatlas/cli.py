@@ -2,9 +2,10 @@
 
 Subcommands:
   verify-points   check every embedded table point against its curve equation
-  verify-maps     map pairings, round trips, Pell invariants, and the commuting
-                  square and Euler resolvent as identities in Q[a,b] plus the
-                  K1 table inputs
+  verify-maps     the KS <-> K3 pairing derived from the tables, round trips,
+                  Pell invariants; the coverings K1 -> K2 and K3 -> K6 as
+                  identities in Q[a,b], and the commuting square and Euler
+                  resolvent as identities in Q[a,b] plus the K1 table inputs
   verify-tower    cubic-tower residuals for one d (or all six)
   modular         product value, recovered pair, j, residual table for one d
   search          bounded searches (rational height on Ks, integral box on K1/K3)
@@ -33,14 +34,15 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .curves import (
-    CurveId, is_on_curve, is_singular_point, paper_points,
+    CurveId, defining_poly, is_on_curve, is_singular_point, paper_points,
     rational_paper_points, serialize_coord,
 )
 from .fixedreal import IndistinguishableFromZeroError
 from .kernel import BivarPoly
 from .maps import (
-    MapDomainError, cover_k3_to_k6, euler_resolvent_check, k1_to_k3,
-    k1_to_ks, k2_to_k6, k3_to_ks, ks_to_k3, pair_k1_to_k2, pell_params,
+    MapDomainError, cover_k1_to_k2, cover_k3_to_k6, euler_resolvent_check,
+    k1_to_k3, k1_to_ks, k2_to_k6, k3_to_ks, ks_to_k3, pair_k1_to_k2,
+    pell_params,
 )
 from .modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
@@ -115,13 +117,16 @@ class Report:
 # check builders
 
 
+def _pid(pt) -> str:
+    return f"({serialize_coord(pt[0])},{serialize_coord(pt[1])})"
+
+
 def checks_verify_points(report: Report) -> None:
     for curve in (CurveId.K3, CurveId.K1, CurveId.KS):
         for rec in paper_points(curve):
-            pid = f"{curve}:({serialize_coord(rec.pt[0])},{serialize_coord(rec.pt[1])})"
             ok = is_on_curve(curve, rec.pt)
             details = f"d={rec.d}" if rec.d is not None else ""
-            report.add(f"point:{pid}", ok, details)
+            report.add(f"point:{curve}:{_pid(rec.pt)}", ok, details)
 
 
 def checks_singularity(report: Report) -> None:
@@ -136,18 +141,6 @@ def checks_singularity(report: Report) -> None:
     )
 
 
-_EXPECTED_KS_TO_K3 = {
-    (Fraction(1), Fraction(4)): (Fraction(7), Fraction(26)),
-    (Fraction(2), Fraction(14)): (Fraction(-17), Fraction(150)),
-    (Fraction(2), Fraction(-14)): (Fraction(-9, 17), Fraction(6, 289)),
-    (Fraction(1, 2), Fraction(-7, 4)): (Fraction(-155, 79), Fraction(42486, 6241)),
-    (Fraction(1, 2), Fraction(7, 4)): (Fraction(3), Fraction(6)),
-    (Fraction(0), Fraction(0)): (Fraction(3), Fraction(14)),
-    (Fraction(1), Fraction(-4)): (Fraction(-1), Fraction(2)),
-    (Fraction(-1), Fraction(4)): (Fraction(-3), Fraction(6)),
-    (Fraction(-1), Fraction(-4)): (Fraction(1), Fraction(6)),
-}
-
 _PELL_EXPECTED = {
     3: (2, -3, 2), 11: (-2, -1, 0), 19: (-2, 3, -2),
     43: (-14, -3, -2), 67: (14, -17, 12), 163: (82, -99, 70),
@@ -160,22 +153,41 @@ a variable, run on this pair, returns its image as polynomials in Q[a, b]."""
 
 
 def checks_verify_maps(report: Report) -> None:
-    # pairing of the 9 KS table points with the 9 non-exceptional K3 points
-    for zw, xy in _EXPECTED_KS_TO_K3.items():
-        img = ks_to_k3(zw)
-        back = k3_to_ks(img)
+    # ks_to_k3 pairs the KS table with the rational K3 table; k3_to_ks
+    # inverts it, and every K3 entry left unhit is outside its domain
+    k3_table = [rec.pt for rec in rational_paper_points(CurveId.K3)]
+    hit = set()
+    for rec in paper_points(CurveId.KS):
+        img = ks_to_k3(rec.pt)
+        hit.add(img)
+        try:
+            back = k3_to_ks(img)
+        except MapDomainError:
+            back = None
         report.add(
-            f"map:ks_to_k3:({serialize_coord(zw[0])},{serialize_coord(zw[1])})",
-            img == xy and back == zw,
-            f"-> ({serialize_coord(img[0])},{serialize_coord(img[1])}), round trip",
+            f"map:ks_to_k3:{_pid(rec.pt)}",
+            img in k3_table and back == rec.pt,
+            f"-> {_pid(img)}, round trip",
         )
-    for pt in ((Fraction(1), Fraction(2)), (Fraction(-1), Fraction(-2))):
-        pid = f"map:k3_to_ks:exceptional:({pt[0]},{pt[1]})"
+    for pt in k3_table:
+        if pt in hit:
+            continue
+        pid = f"map:k3_to_ks:exceptional:{_pid(pt)}"
         try:
             k3_to_ks(pt)
             report.add(pid, False, "no domain error")
         except MapDomainError as e:
             report.add(pid, True, f"domain error, factors: {', '.join(e.factors)}")
+    # The coverings: K2 after cover_k1_to_k2 is K1/4 and K6 after
+    # cover_k3_to_k6 is K3/4 in Q[a, b], so each sends its curve into the
+    # target.
+    for cover, src, dst, cid in (
+        (cover_k1_to_k2, CurveId.K1, CurveId.K2, "map:cover-k1-k2"),
+        (cover_k3_to_k6, CurveId.K3, CurveId.K6, "map:cover-k3-k6"),
+    ):
+        image = defining_poly(dst).evaluate(*cover(_GENERIC_PAIR))
+        report.add(cid, image == defining_poly(src) / 4,
+                   f"{dst}(cover(a,b)) = {src}(a,b)/4, identity in Q[a,b]")
     # Commuting square and Euler resolvent: equality at the generic pair is
     # equality in Q[a, b], which proves each identity for every exact input.
     # The K1 table inputs are run through the same maps as well.
@@ -195,7 +207,7 @@ def checks_verify_maps(report: Report) -> None:
         a2b2 = cover_k3_to_k6(rec.pt)
         on_k6 = is_on_curve(CurveId.K6, a2b2)
         tri = pell_params(a2b2)
-        pid = f"map:pell:({serialize_coord(rec.pt[0])},{serialize_coord(rec.pt[1])})"
+        pid = f"map:pell:{_pid(rec.pt)}"
         if tri is None:
             report.add(pid, on_k6, "a2 = 1, Pell parameter undefined")
             continue
@@ -217,8 +229,7 @@ def checks_verify_maps(report: Report) -> None:
                 report.add(pid, True, "outside map domain (al3 = 0)")
             continue
         img = k1_to_ks(rec.pt)
-        report.add(pid, is_on_curve(CurveId.KS, img),
-                   f"-> ({serialize_coord(img[0])},{serialize_coord(img[1])})")
+        report.add(pid, is_on_curve(CurveId.KS, img), f"-> {_pid(img)}")
 
 
 def _attempt(report: Report, check_id: str, fn, *args):
@@ -281,13 +292,12 @@ def checks_tower(report: Report, d: int, bits: Optional[int],
         )
 
 
-def checks_search(report: Report, curve: CurveId, bound: int,
-                  partitions: int, jobs: int) -> List:
+def checks_search(report: Report, curve: CurveId, bound: int) -> List:
     if curve is CurveId.KS:
-        res = search_ks(bound, partitions=partitions, jobs=jobs)
+        res = search_ks(bound)
         table = list(paper_points(CurveId.KS))
     else:
-        res = search_integral(curve, bound, partitions=partitions, jobs=jobs)
+        res = search_integral(curve, bound)
         table = [
             r for r in rational_paper_points(curve)
             if r.pt[0].denominator == 1 and r.pt[1].denominator == 1
@@ -301,10 +311,7 @@ def checks_search(report: Report, curve: CurveId, bound: int,
         scanned=res.scanned, candidates=res.candidates,
     )
     for r in res.found:
-        report.add(
-            f"search:{curve}:point:({serialize_coord(r.pt[0])},{serialize_coord(r.pt[1])})",
-            True,
-        )
+        report.add(f"search:{curve}:point:{_pid(r.pt)}", True)
     return res.found
 
 
@@ -390,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     bits = _bounded_int(BITS_MIN, BITS_MAX)
     bits_help = f"working precision, {BITS_MIN} to {BITS_MAX} bits (default: sized to d)"
     positive = _bounded_int(1)
-    kept_help = "accepted, >= 1; searches run in one process whatever its value"
 
     def common(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -413,15 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", choices=("ks", "k1", "k3"), required=True)
     p.add_argument("--height", type=positive, help="z-height bound (ks)")
     p.add_argument("--box", type=positive, help="|x| bound (k1/k3)")
-    p.add_argument("--partitions", type=positive, default=4, help=kept_help)
-    p.add_argument("--jobs", type=positive, default=1, help=kept_help)
     common(p)
 
     p = sub.add_parser("report", help="full battery")
     p.add_argument("--bits", type=bits, help=bits_help)
     p.add_argument("--height", type=positive, default=200)
     p.add_argument("--box", type=positive, default=50)
-    p.add_argument("--jobs", type=positive, default=1, help=kept_help)
     common(p)
     return ap
 
@@ -457,9 +460,7 @@ def main(argv=None) -> int:
                 if args.box is None:
                     ap.error("--box is required for integral searches")
                 bound = args.box
-            csv_records = checks_search(
-                report, curve, bound, args.partitions, args.jobs
-            )
+            csv_records = checks_search(report, curve, bound)
         elif args.command == "report":
             checks_verify_points(report)
             checks_singularity(report)
@@ -467,9 +468,9 @@ def main(argv=None) -> int:
             for d in CLASS_NUMBER_ONE_DS:
                 checks_tower(report, d, args.bits)
             checks_selftest(report)
-            checks_search(report, CurveId.KS, args.height, 4, args.jobs)
-            checks_search(report, CurveId.K3, args.box, 4, args.jobs)
-            checks_search(report, CurveId.K1, args.box, 4, args.jobs)
+            checks_search(report, CurveId.KS, args.height)
+            checks_search(report, CurveId.K3, args.box)
+            checks_search(report, CurveId.K1, args.box)
     except InvalidDiscriminantError as e:
         ap.error(str(e))
     report.elapsed = time.monotonic() - start

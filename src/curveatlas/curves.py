@@ -38,7 +38,6 @@ class CurveId(enum.Enum):
 class Provenance(enum.Enum):
     PAPER_TABLE = "paper-table"
     SEARCH = "search"
-    MAP_IMAGE = "map-image"
 
     def __str__(self):
         return self.value
@@ -158,13 +157,13 @@ _KS_TABLE = [
 
 
 @lru_cache(maxsize=None)
-def paper_points(c: CurveId, include_quadratic: bool = True) -> Tuple[PointRecord, ...]:
+def paper_points(c: CurveId) -> Tuple[PointRecord, ...]:
     """The embedded point tables, verified against the curve equation on
     first access.  A failure here means the table itself is corrupt."""
     if c is CurveId.K1:
         raw = _K1_TABLE
     elif c is CurveId.K3:
-        raw = list(_K3_RATIONAL_TABLE) + (_K3_QUAD_TABLE if include_quadratic else [])
+        raw = _K3_RATIONAL_TABLE + _K3_QUAD_TABLE
     elif c is CurveId.KS:
         raw = _KS_TABLE
     else:
@@ -189,18 +188,6 @@ def rational_paper_points(c: CurveId) -> List[PointRecord]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_COORD_NAMES = {
-    CurveId.K1: ("x", "y"),
-    CurveId.K2: ("x", "y"),
-    CurveId.K3: ("x", "y"),
-    CurveId.K6: ("a2", "b2"),
-    CurveId.KS: ("z", "w"),
-}
-
-
-def coord_names(c: CurveId) -> Tuple[str, str]:
-    return _COORD_NAMES[c]
-
 
 def serialize_coord(v: FieldElement) -> str:
     """Exact string form: "p/q" for rationals, "a+b*sqrt(m)" for quadratics."""
@@ -208,22 +195,3 @@ def serialize_coord(v: FieldElement) -> str:
         return str(v)
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def table_as_json(c: CurveId) -> dict:
-    n1, n2 = coord_names(c)
-    pts = []
-    for rec in paper_points(c):
-        entry = {
-            n1: serialize_coord(rec.pt[0]),
-            n2: serialize_coord(rec.pt[1]),
-            "provenance": str(rec.provenance),
-        }
-        if rec.d is not None:
-            entry["d"] = rec.d
-        pts.append(entry)
-    return {
-        "curve": str(c),
-        "convention": f"points listed as ({n1}, {n2})",
-        "points": pts,
-    }

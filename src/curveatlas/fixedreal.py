@@ -235,15 +235,6 @@ class FixedReal:
 
     # -- comparison ---------------------------------------------------------
 
-    def cmp(self, other) -> int:
-        """Three-valued comparison: -1 / +1, or 0 when the error intervals
-        overlap (indistinguishable)."""
-        o = self._chk(other)
-        diff = self.mantissa - o.mantissa
-        if abs(diff) <= self.errbits + o.errbits:
-            return 0
-        return -1 if diff < 0 else 1
-
     def magnitude_below(self, bits: int) -> bool:
         """True iff |value| + radius < 2**-bits (a sound smallness claim)."""
         if self.prec < bits:

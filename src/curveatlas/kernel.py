@@ -75,20 +75,12 @@ def integer_root(n: int, k: int) -> int:
 
 
 def integer_cbrt(n: int) -> int:
-    """Floor of the real cube root of n (sign-symmetric for negative n)."""
-    if n < 0:
-        return -integer_cbrt_ceilneg(-n)
-    return integer_root(n, 3)
-
-
-def integer_cbrt_ceilneg(n: int) -> int:
-    # helper for negative inputs: -floor(cbrt(-n)) would round toward zero;
-    # we want the floor convention only for exactness tests, so round so that
-    # integer_cbrt(-8) == -2 and integer_cbrt(-9) == -3.
-    r = integer_cbrt(n)
-    if r * r * r == n:
-        return r
-    return r + 1
+    """Floor of the real cube root of the integer n, for either sign:
+    integer_cbrt(-8) == -2 and integer_cbrt(-9) == -3."""
+    if n >= 0:
+        return integer_root(n, 3)
+    r = integer_root(-n, 3)
+    return -r if r * r * r == -n else -r - 1
 
 
 def rational_sqrt(x: Rational) -> Optional[Rational]:
@@ -364,9 +356,6 @@ class QuadRat:
     def norm(self) -> Fraction:
         return self.a * self.a - self.m * self.b * self.b
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self):
         return f"QuadRat({self.a} + {self.b}*sqrt({self.m}))"
 
@@ -376,10 +365,6 @@ class QuadRat:
 
 #: Field element: a rational or a quadratic extension element.
 FieldElement = Union[int, Fraction, QuadRat]
-
-
-def conjugate(x: FieldElement) -> FieldElement:
-    return x.conjugate() if isinstance(x, QuadRat) else x
 
 
 class BivarPoly:
@@ -467,8 +452,10 @@ class BivarPoly:
             return NotImplemented
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = BivarPoly({(0, 0): 1})
-        for bit in bin(e)[2:]:  # left to right: square, then times self
+        if e == 0:
+            return BivarPoly({(0, 0): 1})
+        out = self
+        for bit in bin(e)[3:]:  # left to right after the leading 1
             out = out * out
             if bit == "1":
                 out = out * self

@@ -11,7 +11,6 @@ errors name every denominator factor that vanishes at the input.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -31,21 +30,6 @@ class MapDomainError(ZeroDivisionError):
         super().__init__(
             f"{map_name}: denominator factor(s) vanish: {', '.join(self.factors)}"
         )
-
-
-class MapId(enum.Enum):
-    K3_TO_K6 = ("K3toK6", CurveId.K3, CurveId.K6)
-    K1_TO_K2 = ("K1toK2", CurveId.K1, CurveId.K2)
-    K1_TO_K3 = ("K1toK3", CurveId.K1, CurveId.K3)
-    K2_TO_K6 = ("K2toK6", CurveId.K2, CurveId.K6)
-    K1_TO_KS = ("K1toKs", CurveId.K1, CurveId.KS)
-    KS_TO_K3 = ("KstoK3", CurveId.KS, CurveId.K3)
-    K3_TO_KS = ("K3toKs", CurveId.K3, CurveId.KS)
-
-    def __init__(self, label, source, target):
-        self.label = label
-        self.source = source
-        self.target = target
 
 
 @dataclass(frozen=True)
@@ -221,18 +205,6 @@ def k3_to_ks(p: Pair) -> Pair:
         w = -(x * d_z + z**4 + 8 * z**3 + 18 * z * z - 3) / (2 * z + 6)
         return (z, w)
     raise MapDomainError("k3_to_ks", bad)
-
-
-def apply_map(m: MapId, p: Pair) -> Pair:
-    return {
-        MapId.K3_TO_K6: cover_k3_to_k6,
-        MapId.K1_TO_K2: cover_k1_to_k2,
-        MapId.K1_TO_K3: k1_to_k3,
-        MapId.K2_TO_K6: k2_to_k6,
-        MapId.K1_TO_KS: k1_to_ks,
-        MapId.KS_TO_K3: ks_to_k3,
-        MapId.K3_TO_KS: k3_to_ks,
-    }[m](p)
 
 
 def _nonzero(v: FieldElement) -> bool:

@@ -30,14 +30,13 @@ only the moduli that reject some residue are kept.  An integer root is a
 root mod every m, so an x that some table rejects has no integral point.
 For |x| <= 200 the sieve leaves 8 of 401 x on K1 and 6 on K3.
 
-``candidates`` counts the (p, q) or x that reached the exact test.  The
-``partitions`` and ``jobs`` arguments must be >= 1; they no longer change
-the work or start processes.
+``candidates`` counts the (p, q) or x that reached the exact test.
+``search_ks`` and ``search_integral`` still accept ``partitions`` and
+``jobs`` keywords, which must be >= 1 and change nothing else.
 """
 
 from __future__ import annotations
 
-import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,29 +48,14 @@ from .curves import CurveId, PointRecord, Provenance, defining_poly, is_on_curve
 from .kernel import integer_roots, maybe_square, rational_sqrt
 
 
-class SearchMode(enum.Enum):
-    RATIONAL_HEIGHT = "rational-height"
-    INTEGRAL_BOX = "integral-box"
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     curve: CurveId
-    mode: SearchMode
     bound: int
-    partitions: int = 1
 
     def __post_init__(self):
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        if self.mode is SearchMode.RATIONAL_HEIGHT and self.curve is not CurveId.KS:
-            raise ValueError("rational-height search is defined for Ks only")
-        if self.mode is SearchMode.INTEGRAL_BOX and self.curve not in (
-            CurveId.K1, CurveId.K3
-        ):
-            raise ValueError("integral-box search is defined for K1/K3 only")
 
 
 @dataclass
@@ -96,11 +80,12 @@ class ReconcileReport:
         return not self.paper_only and not self.search_only
 
 
-def _spec(curve: CurveId, mode: SearchMode, bound: int, partitions: int,
-          jobs: int) -> SearchSpec:
+def _spec(curve: CurveId, bound: int, partitions: int, jobs: int) -> SearchSpec:
+    if partitions < 1:
+        raise ValueError("partitions must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return SearchSpec(curve, mode, bound, partitions)
+    return SearchSpec(curve, bound)
 
 
 def _result(spec: SearchSpec, start: float, hits: list, scanned: int,
@@ -133,7 +118,7 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     Complete within the bound by the lemma in the module docstring; w is
     determined up to sign by the exact square test.
     """
-    spec = _spec(CurveId.KS, SearchMode.RATIONAL_HEIGHT, H, partitions, jobs)
+    spec = _spec(CurveId.KS, H, partitions, jobs)
     start = time.monotonic()
     classes = sorted({k for s in range(1, isqrt(H) + 1)
                       for k in (s * s, 2 * s * s) if k <= H})
@@ -194,7 +179,9 @@ def search_integral(
     y is unconstrained: for fixed x the defining polynomial is monic of
     degree 4 in y, so its integer roots are determined exactly.
     """
-    spec = _spec(curve, SearchMode.INTEGRAL_BOX, B, partitions, jobs)
+    if curve not in (CurveId.K1, CurveId.K3):
+        raise ValueError("integral-box search is defined for K1/K3 only")
+    spec = _spec(curve, B, partitions, jobs)
     start = time.monotonic()
     poly, sieve = defining_poly(curve), _sieve(curve)
     hits: List[Tuple[Fraction, Fraction]] = []

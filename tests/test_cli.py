@@ -14,7 +14,7 @@ import pytest
 import curveatlas
 from curveatlas import cli, maps, modular
 from curveatlas.cli import build_parser, main
-from curveatlas.curves import CurveId, defining_poly, paper_points
+from curveatlas.curves import CurveId, defining_poly, is_on_curve, paper_points
 
 
 def run(capsys, *argv):
@@ -82,9 +82,88 @@ class TestVerifyMaps:
             assert by_id[pid].details == "no domain error"
         assert not any("Fraction" in cid for cid in by_id)
 
+    def test_exceptional_check_fails_when_one_point_maps(self, monkeypatch):
+        k3_to_ks = cli.k3_to_ks
+        monkeypatch.setattr(
+            cli, "k3_to_ks",
+            lambda p: (Fraction(0), Fraction(0)) if p == (1, 2) else k3_to_ks(p))
+        by_id = verify_maps_checks()
+        assert by_id["map:k3_to_ks:exceptional:(1,2)"].status == "fail"
+        assert [c for c, v in by_id.items() if v.status == "fail"] == [
+            "map:k3_to_ks:exceptional:(1,2)"]
+
+    def test_pairing_is_derived_from_the_tables(self):
+        by_id = verify_maps_checks()
+        assert sorted(c for c in by_id if c.startswith("map:ks_to_k3:")) == sorted(
+            f"map:ks_to_k3:{cli._pid(rec.pt)}" for rec in paper_points(CurveId.KS))
+        assert sorted(c for c in by_id if c.startswith("map:k3_to_ks:")) == [
+            "map:k3_to_ks:exceptional:(-1,-2)", "map:k3_to_ks:exceptional:(1,2)"]
+        assert by_id["map:ks_to_k3:(2,14)"].details == "-> (-17,150), round trip"
+
+    def test_swapped_images_fail_the_round_trip(self, monkeypatch):
+        a, b = (Fraction(1), Fraction(4)), (Fraction(2), Fraction(14))
+        ks_to_k3 = cli.ks_to_k3
+        swap = {a: ks_to_k3(b), b: ks_to_k3(a)}
+        monkeypatch.setattr(cli, "ks_to_k3", lambda p: swap.get(p) or ks_to_k3(p))
+        failed = [c for c, v in verify_maps_checks().items() if v.status == "fail"]
+        assert failed == ["map:ks_to_k3:(1,4)", "map:ks_to_k3:(2,14)"]
+
+    def test_image_missing_from_the_k3_table_fails(self, monkeypatch):
+        table = cli.rational_paper_points
+        monkeypatch.setattr(cli, "rational_paper_points", lambda c: [
+            rec for rec in table(c) if rec.pt != (7, 26)])
+        failed = [c for c, v in verify_maps_checks().items() if v.status == "fail"]
+        assert failed == ["map:ks_to_k3:(1,4)"]
+
+    def test_colliding_images_leave_a_point_unhit(self, monkeypatch):
+        # (1,4) is sent to the image (-17,150) of (2,14), so (7,26) is hit by
+        # no image and k3_to_ks maps it without a domain error
+        ks_to_k3 = cli.ks_to_k3
+        monkeypatch.setattr(
+            cli, "ks_to_k3",
+            lambda p: ks_to_k3((Fraction(2), Fraction(14)) if p == (1, 4) else p))
+        by_id = verify_maps_checks()
+        failed = [c for c, v in by_id.items() if v.status == "fail"]
+        assert failed == ["map:ks_to_k3:(1,4)", "map:k3_to_ks:exceptional:(7,26)"]
+        assert by_id["map:k3_to_ks:exceptional:(7,26)"].details == "no domain error"
+
+    def test_image_at_the_double_point_is_a_failing_check(self, monkeypatch):
+        # k3_to_ks raises at (1,2): the round trip fails, with no traceback
+        ks_to_k3 = cli.ks_to_k3
+        monkeypatch.setattr(
+            cli, "ks_to_k3",
+            lambda p: (Fraction(1), Fraction(2)) if p == (1, 4) else ks_to_k3(p))
+        by_id = verify_maps_checks()
+        failed = [c for c, v in by_id.items() if v.status == "fail"]
+        assert failed == ["map:ks_to_k3:(1,4)", "map:k3_to_ks:exceptional:(7,26)"]
+        assert by_id["map:ks_to_k3:(1,4)"].details == "-> (1,2), round trip"
+
+    def test_coverings_are_proved_in_q_ab(self):
+        by_id = verify_maps_checks()
+        for cid, details in (
+            ("map:cover-k1-k2", "K2(cover(a,b)) = K1(a,b)/4, identity in Q[a,b]"),
+            ("map:cover-k3-k6", "K6(cover(a,b)) = K3(a,b)/4, identity in Q[a,b]"),
+        ):
+            assert by_id[cid].status == "pass"
+            assert by_id[cid].details == details
+
+    @pytest.mark.parametrize("name, src, dst, cid", [
+        ("cover_k1_to_k2", CurveId.K1, CurveId.K2, "map:cover-k1-k2"),
+        ("cover_k3_to_k6", CurveId.K3, CurveId.K6, "map:cover-k3-k6"),
+    ])
+    def test_covering_fails_for_a_map_right_only_on_the_table(
+            self, monkeypatch, name, src, dst, cid):
+        bent = off_curve(getattr(maps, name), src)
+        assert all(is_on_curve(dst, bent(rec.pt)) for rec in paper_points(src))
+        monkeypatch.setattr(cli, name, bent)
+        by_id = verify_maps_checks()
+        assert by_id[cid].status == "fail"
+        assert all(v.status == "pass" for c, v in by_id.items()
+                   if c.startswith("map:pell:"))
+
     def test_square_fails_for_a_map_right_only_on_the_table(self, monkeypatch):
         # K1(al3, be3) vanishes at every K1 table input, not identically
-        bent = off_k1(maps.k1_to_k3)
+        bent = off_curve(maps.k1_to_k3, CurveId.K1)
         table = [rec.pt for rec in paper_points(CurveId.K1)]
         assert all(
             maps.cover_k3_to_k6(bent(p)) == maps.k2_to_k6(maps.pair_k1_to_k2(p))
@@ -96,7 +175,8 @@ class TestVerifyMaps:
         assert by_id["map:euler-resolvent"].status == "pass"
 
     def test_resolvent_fails_for_a_map_right_only_on_the_table(self, monkeypatch):
-        monkeypatch.setattr(maps, "cover_k3_to_k6", off_k1(maps.cover_k3_to_k6))
+        bent = off_curve(maps.cover_k3_to_k6, CurveId.K1)
+        monkeypatch.setattr(maps, "cover_k3_to_k6", bent)
         table = [rec.pt for rec in paper_points(CurveId.K1)]
         assert all(maps.euler_resolvent_check(p) for p in table)
         by_id = verify_maps_checks()
@@ -110,14 +190,15 @@ def verify_maps_checks():
     return {c.id: c for c in report.checks}
 
 
-def off_k1(f):
-    """f with K1's defining polynomial at the input added to its first
-    coordinate: the same map at every point of K1, a different one in Q[a,b]."""
-    k1 = defining_poly(CurveId.K1)
+def off_curve(f, curve):
+    """f with the curve's defining polynomial at the input added to its
+    first coordinate: the same map at every point of the curve, a different
+    one in Q[a,b]."""
+    poly = defining_poly(curve)
 
     def bent(p):
         u, v = f(p)
-        return (u + k1.evaluate(*p), v)
+        return (u + poly.evaluate(*p), v)
     return bent
 
 
@@ -227,25 +308,35 @@ def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, monkeypatch, capsys):
     assert calls == {"create": 2 * n_d, "schlafli_w": 2 * n_d}
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-tower", "--d", "11", "--bits", "0"],
-    ["verify-tower", "--bits", "7"],
-    ["verify-tower", "--bits", "16385"],
-    ["modular", "--d", "11", "--bits", "100000000"],
-    ["report", "--bits", "-1"],
-    ["search", "--curve", "ks", "--height", "5", "--partitions", "0"],
-    ["search", "--curve", "ks", "--height", "5", "--jobs", "0"],
-    ["report", "--jobs", "0"],
-    ["report", "--height", "0"],
-    ["report", "--box", "0"],
+REMOVED = "unrecognized arguments"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-tower", "--d", "11", "--bits", "0"], "must be"),
+    (["verify-tower", "--bits", "7"], "must be"),
+    (["verify-tower", "--bits", "16385"], "must be"),
+    (["modular", "--d", "11", "--bits", "100000000"], "must be"),
+    (["report", "--bits", "-1"], "must be"),
+    (["search", "--curve", "ks", "--height", "5", "--partitions", "0"], REMOVED),
+    (["search", "--curve", "ks", "--height", "5", "--jobs", "0"], REMOVED),
+    (["report", "--jobs", "0"], REMOVED),
+    (["report", "--height", "0"], "must be"),
+    (["report", "--box", "0"], "must be"),
+    (["search", "--curve", "ks", "--height", "5", "--partitions", "2"], REMOVED),
+    (["search", "--curve", "ks", "--height", "5", "--jobs", "2"], REMOVED),
+    (["report", "--jobs", "1"], REMOVED),
 ], ids=["bits-0", "bits-below-floor", "bits-above-ceiling", "bits-huge",
         "bits-negative", "partitions-0", "search-jobs-0", "report-jobs-0",
-        "report-height-0", "report-box-0"])
-def test_out_of_range_size_is_usage_error(argv, capsys):
+        "report-height-0", "report-box-0", "partitions-2", "search-jobs-2",
+        "report-jobs-1"])
+def test_out_of_range_size_is_usage_error(argv, message, capsys):
+    # sizes out of range, and the removed --partitions and --jobs options
+    # at any value, are usage errors: exit 2 and a message, no traceback
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
-    assert "must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_bits_range_ends_are_accepted():

@@ -3,20 +3,13 @@ from fractions import Fraction
 import pytest
 
 from curveatlas.curves import (
-    CurveId, Provenance, coord_names, defining_poly, is_on_curve,
-    is_singular_point, paper_points, rational_paper_points,
-    serialize_coord, table_as_json,
+    CurveId, Provenance, defining_poly, is_on_curve, is_singular_point,
+    paper_points, rational_paper_points, serialize_coord,
 )
 from curveatlas.kernel import BivarPoly, QuadRat
 
 
 F = Fraction
-
-
-def test_coordinate_names():
-    assert coord_names(CurveId.K3) == ("x", "y")
-    assert coord_names(CurveId.KS) == ("z", "w")
-    assert coord_names(CurveId.K6) == ("a2", "b2")
 
 
 class TestDefiningPolys:
@@ -133,10 +126,3 @@ class TestSerialization:
     def test_quadratic_coord(self):
         s = serialize_coord(QuadRat(17, F(8), F(2)))
         assert "sqrt(17)" in s and s.startswith("8")
-
-    def test_json_table(self):
-        data = table_as_json(CurveId.KS)
-        assert data["curve"] == "Ks"
-        assert len(data["points"]) == 9
-        for row in data["points"]:
-            assert set(row) >= {"z", "w", "provenance"}

@@ -122,13 +122,6 @@ class TestTranscendental:
 
 
 class TestComparisonsAndRecognition:
-    def test_cmp_three_valued(self):
-        a = FixedReal.from_int(1, 128)
-        b = FixedReal.from_int(2, 128)
-        assert a.cmp(b) == -1 and b.cmp(a) == 1
-        fuzzy = FixedReal(1, 128, errbits=10)
-        assert fuzzy.cmp(FixedReal.from_int(0, 128)) == 0
-
     def test_magnitude_below(self):
         tiny = FixedReal(1 << 10, 128)  # 2^-118
         assert tiny.magnitude_below(100)

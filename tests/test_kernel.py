@@ -78,6 +78,10 @@ def test_integer_cbrt():
     big = 640320**3
     assert integer_cbrt(big) == 640320
     assert integer_cbrt(big - 1) == 640319
+    # floor, not truncation, below zero
+    assert integer_cbrt(-8) == -2
+    assert integer_cbrt(-9) == -3
+    assert integer_cbrt(-big - 1) == -640321
 
 
 def test_maybe_square_never_rejects_a_square():
@@ -282,6 +286,26 @@ class TestQuadRat:
         for e, expect in enumerate(powers):
             calls.clear()
             assert u**e == expect
+            assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+
+
+class TestBivarPolyPower:
+    def test_power_by_left_to_right_squaring(self, monkeypatch):
+        # as for QuadRat: e >= 1 takes (bit length - 1) squarings and
+        # (popcount - 1) further products, so X**3 takes 2 and X**5 takes 3
+        p = BivarPoly({(1, 0): 1, (0, 1): F(-1, 2), (0, 0): 3})
+        expect = BivarPoly({(0, 0): 1})
+        powers = []
+        for e in range(10):
+            powers.append(expect)
+            expect = expect * p
+        calls = []
+        original = BivarPoly.__mul__
+        monkeypatch.setattr(
+            BivarPoly, "__mul__", lambda a, b: calls.append(1) or original(a, b))
+        for e, expect in enumerate(powers):
+            calls.clear()
+            assert p**e == expect
             assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
 
 

@@ -8,7 +8,7 @@ from curveatlas.curves import (
 )
 from curveatlas.kernel import QuadRat
 from curveatlas.maps import (
-    MapDomainError, MapId, apply_map, cover_k1_to_k2, cover_k3_to_k6,
+    MapDomainError, cover_k1_to_k2, cover_k3_to_k6,
     euler_resolvent_check, k1_to_k3, k1_to_ks, k2_to_k6, k3_to_ks,
     ks_to_k3, pair_k1_to_k2, pell_params,
 )
@@ -203,16 +203,3 @@ class TestK1ToKs:
     def test_value(self):
         # (1, 2) -> z = 2/1 - 1 = 1, w = 4*(1-2)*1 - 2*(3-2-1) = -4
         assert k1_to_ks((F(1), F(2))) == (F(1), F(-4))
-
-
-class TestApplyMap:
-    def test_dispatch_matches_direct_calls(self):
-        p = (F(2), F(6))
-        assert apply_map(MapId.K1_TO_K3, p) == k1_to_k3(p)
-        assert apply_map(MapId.K1_TO_KS, p) == k1_to_ks(p)
-        assert apply_map(MapId.K3_TO_K6, p) == cover_k3_to_k6(p)
-
-    def test_source_target_metadata(self):
-        assert MapId.KS_TO_K3.source is CurveId.KS
-        assert MapId.KS_TO_K3.target is CurveId.K3
-        assert MapId.K3_TO_KS.target is CurveId.KS

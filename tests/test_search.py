@@ -19,8 +19,7 @@ from curveatlas.curves import (
 )
 from curveatlas.kernel import integer_roots, rational_sqrt
 from curveatlas.search import (
-    ReconcileReport, SearchMode, SearchSpec, reconcile, search_integral,
-    search_ks,
+    ReconcileReport, SearchSpec, reconcile, search_integral, search_ks,
 )
 
 
@@ -49,17 +48,12 @@ K3_INTEGRAL = {
 class TestSpecValidation:
     def test_bound_positive(self):
         with pytest.raises(ValueError):
-            SearchSpec(CurveId.KS, SearchMode.RATIONAL_HEIGHT, 0)
+            SearchSpec(CurveId.KS, 0)
 
-    def test_partitions_positive(self):
-        with pytest.raises(ValueError):
-            SearchSpec(CurveId.KS, SearchMode.RATIONAL_HEIGHT, 5, 0)
-
-    def test_mode_curve_pairing(self):
-        with pytest.raises(ValueError):
-            SearchSpec(CurveId.K3, SearchMode.RATIONAL_HEIGHT, 5)
-        with pytest.raises(ValueError):
-            SearchSpec(CurveId.KS, SearchMode.INTEGRAL_BOX, 5)
+    def test_integral_search_rejects_other_curves(self):
+        for curve in (CurveId.KS, CurveId.K2, CurveId.K6):
+            with pytest.raises(ValueError, match="K1/K3 only"):
+                search_integral(curve, 5)
 
 
 class TestKsSearch:
@@ -196,6 +190,15 @@ def test_partitions_do_not_change_the_answer(run):
 ], ids=["ks", "integral"])
 def test_jobs_must_be_positive(run):
     with pytest.raises(ValueError):
+        run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: search_ks(5, partitions=0),
+    lambda: search_integral(CurveId.K1, 5, partitions=0),
+], ids=["ks", "integral"])
+def test_partitions_must_be_positive(run):
+    with pytest.raises(ValueError, match="partitions"):
         run()
 
 
