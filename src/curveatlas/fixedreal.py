@@ -224,13 +224,13 @@ class FixedReal:
     def pow_int(self, e: int) -> "FixedReal":
         if e < 0:
             return FixedReal.from_int(1, self.prec) / self.pow_int(-e)
-        out = FixedReal.from_int(1, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        if e == 0:
+            return FixedReal.from_int(1, self.prec)
+        out = self
+        for bit in bin(e)[3:]:  # left to right after the leading 1
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     # -- comparison ---------------------------------------------------------

@@ -9,9 +9,12 @@ the working value is
 
     W = 4 * t^(1/8) * prod_{n>=1} (1 + (-1)^n t^n)^3
 
-which is (sqrt 2 times) the normalized product value and satisfies the
-cubic W^3 - 2*a3*W^2 + 2*b3*W - 8 = 0 with (a3, b3) the integer pair
-attached to d when h(-d) = 1.
+which satisfies the cubic W^3 - 2*a3*W^2 + 2*b3*W - 8 = 0 with (a3, b3)
+the integer pair attached to d when h(-d) = 1.  The rest of the tower
+follows the coverings K3 -> K6, K1 -> K2 and K1 -> K3: with S the real cube
+root of 2W,
+
+    W = S^3/2,  T = W^2/2,  U = W^8/16,  Z = S^2/2,  V = S^8/16 = U^(1/3).
 
 j and every tower residual come from one W at P + guard(d) (boosted_w) and
 are judged at P's thresholds.  The pair comes from W at P, whose own error
@@ -30,6 +33,7 @@ from . import fixedreal as fr
 from .curves import CurveId, is_on_curve
 from .fixedreal import FixedReal
 from .kernel import band_solutions, integer_cbrt, is_squarefree
+from .maps import cover_k3_to_k6, pair_k1_to_k2
 
 
 class InvalidDiscriminantError(ValueError):
@@ -217,17 +221,21 @@ def j_invariant(ctx: ModularContext, w_hi: Optional[FixedReal] = None) -> int:
     The quotient uses the boosted W (w_hi, computed here unless given); the
     defect is still judged against the context's own 2**-(P/4) threshold.
     """
-    P = ctx.prec
     if w_hi is None:
         w_hi = boosted_w(ctx)
+    return _j_and_u(ctx, w_hi)[0]
+
+
+def _j_and_u(ctx: ModularContext, w_hi: FixedReal) -> Tuple[int, FixedReal]:
+    """j_invariant's integer and the U = W^8 / 16 it came from."""
     u = w_hi.pow_int(8) / 16
     jF = (u.pow_int(3) - 48 * u.pow_int(2) + 768 * u - 4096) / u
     n, defect = jF.nearest_int()
-    if defect + jF.error_radius() >= Fraction(1, 1 << (P // 4)):
+    if defect + jF.error_radius() >= Fraction(1, 1 << (ctx.prec // 4)):
         raise RecoveryError(
             f"j for d={ctx.d} not integral to tolerance (defect {float(defect)})"
         )
-    return n
+    return n, u
 
 
 def gamma2_of(j: int) -> Optional[int]:
@@ -269,11 +277,9 @@ class TowerReport:
 
 
 def _cubic_residual(x: FixedReal, q, r, s) -> FixedReal:
-    """x^3 + q*x^2 + r*x + s with integer or rational coefficients."""
-    P = x.prec
-    def cf(v):
-        return FixedReal.from_fraction(Fraction(v), P)
-    return x.pow_int(3) + cf(q) * x.pow_int(2) + cf(r) * x + cf(s)
+    """x^3 + q*x^2 + r*x + s by Horner; q, r and s are integers (ints or
+    Fractions with denominator 1), so they enter exactly."""
+    return ((x + int(q)) * x + int(r)) * x + int(s)
 
 
 def verify_tower(
@@ -285,14 +291,15 @@ def verify_tower(
     """Evaluate every cubic of the tower at the computed product values and
     report the residuals.
 
-    Checks, for W the product value, T = W^2/2, U = W^8/16:
+    Each value comes once from the one before it, along the coverings: S is
+    the real cube root of 2W, and W = S^3/2, T = W^2/2, U = W^8/16,
+    Z = S^2/2, V = S^8/16.  Checks:
       eq2.2: W^3 - 2*a3*W^2 + 2*b3*W - 8
-      eq2.3: T^3 - 2*a2*T^2 + 2*b2*T - 8       (a2, b2 the covering image)
+      eq2.3: T^3 - 2*a2*T^2 + 2*b2*T - 8       ((a2, b2) = cover_k3_to_k6)
       eq2.1: U^3 - 48U^2 + (768 - j)U - 4096   (j the recovered integer)
-    and, when 3 does not divide d (with eps the real positive cube root of
-    W/sqrt2, S = sqrt2*eps, Z = eps^2, V = U^(1/3)):
+    and, when 3 does not divide d:
       eq3.1: V^3 - gamma2*V - 16
-      eq3.2: Z^3 - 2*al2*Z^2 + 2*be2*Z - 2
+      eq3.2: Z^3 - 2*al2*Z^2 + 2*be2*Z - 2     ((al2, be2) = pair_k1_to_k2)
       eq3.3: S^3 - 2*al3*S^2 + 2*be3*S - 4
     For d = 3 only the 2.x equations plus V^3 - 16 are checked.
 
@@ -302,42 +309,32 @@ def verify_tower(
     P = ctx.prec
     a3, b3 = a3b3
     w = w_hi if w_hi is not None else boosted_w(ctx)
-    t_val = w.pow_int(2) / 2
-    u = w.pow_int(8) / 16
-    a2 = Fraction(a3 * a3 - b3)
-    b2 = Fraction(b3 * b3 - 8 * a3, 2)
-    j = j_invariant(ctx, w)
+    j, u = _j_and_u(ctx, w)
     g2 = gamma2_of(j)
+    a2, b2 = cover_k3_to_k6((Fraction(a3), Fraction(b3)))
+    t = w * w / 2
+    s = (w + w).cbrt()
+    v = s.pow_int(8) / 16
 
     rep = TowerReport(
         d=ctx.d, prec=P, a3=a3, b3=b3, a2=a2, b2=b2, j=j, gamma2=g2
     )
-    rep.values["W"] = w
-    rep.values["T"] = t_val
-    rep.values["U"] = u
+    rep.values.update(W=w, T=t, U=u, V=v)
     rep.residuals["eq2.2"] = _cubic_residual(w, -2 * a3, 2 * b3, -8)
-    rep.residuals["eq2.3"] = _cubic_residual(t_val, -2 * a2, 2 * b2, -8)
+    rep.residuals["eq2.3"] = _cubic_residual(t, -2 * a2, 2 * b2, -8)
     rep.residuals["eq2.1"] = _cubic_residual(u, -48, 768 - j, -4096)
-
-    v = u.cbrt()
-    rep.values["V"] = v
     if ctx.d == 3:
-        rep.residuals["V^3-16"] = v.pow_int(3) - 16
+        rep.residuals["V^3-16"] = _cubic_residual(v, 0, 0, -16)
     elif ctx.d % 3 != 0:
         if g2 is None:
             raise ResidualError(f"j for d={ctx.d} is not a perfect cube")
-        rep.residuals["eq3.1"] = v.pow_int(3) - g2 * v - 16
+        rep.residuals["eq3.1"] = _cubic_residual(v, 0, -g2, -16)
         if al3be3 is not None:
             al3, be3 = al3be3
-            al2 = Fraction(al3 * al3 - be3)
-            be2 = Fraction(be3 * be3 - 4 * al3, 2)
+            al2, be2 = pair_k1_to_k2((Fraction(al3), Fraction(be3)))
             rep.al3, rep.be3, rep.al2, rep.be2 = al3, be3, al2, be2
-            r2 = fr.sqrt2(w.prec)
-            eps = (w / r2).cbrt()
-            s = r2 * eps
-            z = eps.pow_int(2)
-            rep.values["S"] = s
-            rep.values["Z"] = z
+            z = s * s / 2
+            rep.values.update(S=s, Z=z)
             rep.residuals["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
             rep.residuals["eq3.2"] = _cubic_residual(z, -2 * al2, 2 * be2, -2)
     rep.values = {k: x.round_to(P) for k, x in rep.values.items()}

@@ -70,8 +70,7 @@ class TestVerifyMaps:
         by_id = {c["id"]: c for c in json.loads(out)["checks"]}
         for cid in ("map:commuting-square", "map:euler-resolvent"):
             assert by_id[cid]["status"] == "pass"
-            assert by_id[cid]["details"].endswith(
-                "identity in Q[a,b] and the 6 K1 table inputs")
+            assert by_id[cid]["details"].endswith("identity in Q[a,b]")
 
     def test_exceptional_point_without_domain_error(self, monkeypatch):
         monkeypatch.setattr(cli, "k3_to_ks", lambda p: (Fraction(0), Fraction(0)))
@@ -256,6 +255,11 @@ class TestModularFailures:
         failed = failing_checks(capsys, "modular", "--d", "11", "--bits", "16")
         assert failed["modular:d=11:pair"].startswith("precision too low")
 
+    def test_residual_status_comes_from_the_tower_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(modular.TowerReport, "failed", lambda self: ["eq2.2"])
+        failed = failing_checks(capsys, "verify-tower", "--d", "11")
+        assert failed == {"tower:d=11:eq2.2": "|residual| < 2^-64"}
+
     def test_residual_error(self, capsys, monkeypatch):
         # verify_tower raises ResidualError when j is not a cube
         monkeypatch.setattr(modular, "gamma2_of", lambda j: None)
@@ -337,6 +341,19 @@ def test_out_of_range_size_is_usage_error(argv, message, capsys):
     assert ei.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-maps"], ["verify-tower", "--d", "11"], ["modular", "--d", "11"],
+    ["report"],
+], ids=["verify-maps", "verify-tower", "modular", "report"])
+def test_csv_without_point_records_is_usage_error(argv, capsys):
+    # csv lists point records, which only verify-points and search produce
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--format", "csv"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'csv'" in err and "Traceback" not in err
 
 
 def test_bits_range_ends_are_accepted():

@@ -78,6 +78,19 @@ class TestArithmetic:
         assert a.pow_int(4).to_fraction() == F(81, 16)
         assert a.pow_int(0).to_fraction() == 1
 
+    def test_pow_int_by_left_to_right_squaring(self, monkeypatch):
+        # e >= 1 takes floor(log2 e) squarings and popcount(e) - 1 further
+        # products, as for QuadRat and BivarPoly
+        a = FixedReal.from_fraction(F(-3, 2), 64)  # every power is exact
+        calls = []
+        original = FixedReal.__mul__
+        monkeypatch.setattr(
+            FixedReal, "__mul__", lambda x, y: calls.append(1) or original(x, y))
+        for e in range(10):
+            calls.clear()
+            assert a.pow_int(e).to_fraction() == F(-3, 2) ** e
+            assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+
     def test_int_scalar_ops(self):
         a = FixedReal.from_int(5, 128)
         assert (a - 2).to_fraction() == 3

@@ -250,6 +250,24 @@ class TestVerifyTower:
         assert abs(rep.values["W"].to_fraction()
                    - schlafli_w(ctx).to_fraction()) < F(1, 1 << (ctx.prec - 8))
 
+    @pytest.mark.parametrize("d", [3, 11, 163])
+    def test_one_cube_root_along_the_coverings(self, d):
+        # S = cbrt(2W) is the only root taken; Z = S^2/2 and V = S^8/16
+        ctx = ModularContext.create(d)
+        with mock.patch.object(FixedReal, "cbrt", autospec=True,
+                               side_effect=FixedReal.cbrt) as cbrt, \
+                mock.patch.object(modular.fr, "sqrt2") as sqrt2:
+            rep = verify_tower(ctx, *paper_labels(d))
+        assert cbrt.call_count == 1
+        sqrt2.assert_not_called()
+        w, u, v = rep.values["W"], rep.values["U"], rep.values["V"]
+        diffs = [v.pow_int(3) - u]
+        if d != 3:
+            s, z = rep.values["S"], rep.values["Z"]
+            diffs += [s.pow_int(3) - 2 * w, z - s * s / 2]
+        for diff in diffs:
+            assert abs(diff.to_fraction()) <= diff.error_radius()
+
     def test_d3_checks_only_base_equations(self):
         ctx = ModularContext.create(3)
         rep = verify_tower(ctx, (3, 6))
