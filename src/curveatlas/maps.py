@@ -7,6 +7,11 @@ target curve when the input lies on the source curve.  The maps with no
 branch and no division by a variable also accept BivarPoly coordinates,
 which turns an identity between them into an equality in Q[a, b].  Domain
 errors name every denominator factor that vanishes at the input.
+
+The pair KS <-> K3 is defined by one set of BivarPoly constants, evaluated
+in integers: ks_to_k3's N, D and P8, and k3_to_ks's z = 1 - Zn/Dz.
+k3_to_ks solves ks_to_k3's own equations, both linear in w, for w at that
+z.  The module depends only on kernel.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .curves import CurveId, is_on_curve
 from .kernel import BivarPoly, FieldElement
 
 Pair = Tuple[FieldElement, FieldElement]
@@ -128,83 +132,71 @@ _P8 = BivarPoly({
     (2, 0): 172, (1, 0): 64, (0, 0): 7,
 })
 
-_P12 = BivarPoly({
-    # (x-exp, y-exp): coefficient of P12(x, y)
-    (12, 0): 4, (11, 0): 252, (10, 1): -24, (10, 0): 156, (9, 1): -622,
-    (8, 2): 15, (9, 0): 440, (8, 1): -514, (7, 2): 322, (6, 3): -1,
-    (8, 0): 1256, (7, 1): -708, (6, 2): 288, (5, 3): -21, (7, 0): 1536,
-    (6, 1): -620, (5, 2): 310, (4, 3): -19, (6, 0): 1344, (5, 1): -716,
-    (4, 2): 64, (3, 3): -20, (5, 0): 440, (4, 1): -640, (3, 2): 22,
-    (2, 3): -7, (4, 0): -12, (3, 1): -316, (2, 2): -8, (1, 3): -3,
-    (3, 0): -124, (2, 1): -140, (1, 2): -6, (0, 3): -1, (2, 0): -92,
-    (1, 1): -22, (0, 2): 1, (1, 0): -16, (0, 1): 2,
+_N = BivarPoly({
+    # N(z, w) = z^4 + 8z^3 + 18z^2 - 3 + w*(2z + 6)
+    (4, 0): 1, (3, 0): 8, (2, 0): 18, (0, 0): -3, (1, 1): 2, (0, 1): 6,
+})
+
+_D = BivarPoly({
+    # D(z) = z^4 + 4z^3 - 2z^2 - 12z + 1, as a polynomial in (z, w)
+    (4, 0): 1, (3, 0): 4, (2, 0): -2, (1, 0): -12, (0, 0): 1,
+})
+
+_ZN = BivarPoly({
+    # Zn(x, y) = 4x^3 - 4xy - y^2 + 4x + 4
+    (3, 0): 4, (1, 1): -4, (0, 2): -1, (1, 0): 4, (0, 0): 4,
+})
+
+_DZ = BivarPoly({
+    # Dz(x, y) = 2x^4 + 2x^3 - 3x^2y - 2xy + 6x - y + 2
+    (4, 0): 2, (3, 0): 2, (2, 1): -3, (1, 1): -2, (1, 0): 6, (0, 1): -1,
+    (0, 0): 2,
 })
 
 
 def ks_to_k3(p: Pair) -> Pair:
     """Birational map (z, w) -> (x, y):
 
-        x = -(z^4 + 8z^3 + 2wz + 18z^2 + 6w - 3) / D,   D = z^4+4z^3-2z^2-12z+1
-        y = 2 * P8(z, w) / D^2
+        x = -N(z, w) / D(z),   N = z^4 + 8z^3 + 18z^2 - 3 + w*(2z + 6)
+        y = 2 * P8(z, w) / D(z)^2,   D = z^4 + 4z^3 - 2z^2 - 12z + 1
     """
     z, w = p
-    den = z**4 + 4 * z**3 - 2 * z * z - 12 * z + 1
+    den = _D.evaluate(z, 0)
     if not _nonzero(den):
         raise MapDomainError("ks_to_k3", ["z^4+4z^3-2z^2-12z+1"])
-    x = -(z**4 + 8 * z**3 + 2 * w * z + 18 * z * z + 6 * w - 3) / den
+    x = -_N.evaluate(z, w) / den
     y = 2 * _P8.evaluate(z, w) / (den * den)
     return (x, y)
-
-
-_W_DEN_FACTORS = [
-    # (name, base polynomial, exponent) of each factor of the w-denominator
-    ("x-1", BivarPoly({(1, 0): 1, (0, 0): -1}), 1),
-    ("x^2+1", BivarPoly({(2, 0): 1, (0, 0): 1}), 1),
-    ("x^2-2x-1", BivarPoly({(2, 0): 1, (1, 0): -2, (0, 0): -1}), 1),
-    ("x^2+2x+3", BivarPoly({(2, 0): 1, (1, 0): 2, (0, 0): 3}), 1),
-    ("(x+1)^5", BivarPoly({(1, 0): 1, (0, 0): 1}), 5),
-]
 
 
 def k3_to_ks(p: Pair) -> Pair:
     """Inverse birational map (x, y) -> (z, w):
 
-        z = 1 - (4x^3 - 4xy - y^2 + 4x + 4) / Dz
+        z = 1 - Zn(x, y) / Dz(x, y)
+        Zn = 4x^3 - 4xy - y^2 + 4x + 4
         Dz = 2x^4 + 2x^3 - 3x^2*y - 2xy + 6x - y + 2
-        w = -2 * P12(x, y) / ((x-1)(x^2+1)(x^2-2x-1)(x^2+2x+3)(x+1)^5)
 
-    Raises MapDomainError listing every vanishing denominator factor.
-
-    The printed w-denominator vanishes at two points of the K3 table,
-    (1, 6) and (-1, 2), where the singularity is removable on the curve.
-    For on-curve inputs of that kind w is recovered instead by solving the
-    partner map's x-relation x*(z^4+4z^3-2z^2-12z+1) =
-    -(z^4+8z^3+18z^2-3) - w*(2z+6) for w, which needs only z.
+    and w solves one of ks_to_k3's own equations at this z.  Both are linear
+    in w: the x-equation N(z, w) = -x*D(z) has slope 2z + 6, and at z = -3,
+    where that slope vanishes, the y-equation P8(z, w) = y*D(z)^2/2 has
+    slope -96.  So w needs no denominator beyond Dz, and the map raises
+    MapDomainError, naming Dz, exactly where Dz vanishes.
     """
     x, y = p
-    z_den = 2 * x**4 + 2 * x**3 - 3 * x * x * y - 2 * x * y + 6 * x - y + 2
-    bad = []
-    w_den = None
-    for name, f, e in _W_DEN_FACTORS:
-        v = f.evaluate(x, y) ** e
-        if not _nonzero(v):
-            bad.append(name)
-        else:
-            w_den = v if w_den is None else w_den * v
-    z_den_ok = _nonzero(z_den)
-    if not z_den_ok:
-        bad.append("2x^4+2x^3-3x^2y-2xy+6x-y+2")
-        raise MapDomainError("k3_to_ks", bad)
-    z = 1 - (4 * x**3 - 4 * x * y - y * y + 4 * x + 4) / z_den
-    if not bad:
-        w = -2 * _P12.evaluate(x, y) / w_den
-        return (z, w)
-    # Removable singularity of the printed formula: only usable on K3.
-    if is_on_curve(CurveId.K3, p) and _nonzero(2 * z + 6):
-        d_z = z**4 + 4 * z**3 - 2 * z * z - 12 * z + 1
-        w = -(x * d_z + z**4 + 8 * z**3 + 18 * z * z - 3) / (2 * z + 6)
-        return (z, w)
-    raise MapDomainError("k3_to_ks", bad)
+    z_den = _DZ.evaluate(x, y)
+    if not _nonzero(z_den):
+        raise MapDomainError("k3_to_ks", ["2x^4+2x^3-3x^2y-2xy+6x-y+2"])
+    z = 1 - _ZN.evaluate(x, y) / z_den
+    d = _D.evaluate(z, 0)
+    if z != -3:
+        return (z, _solve_w(_N, z, -x * d))
+    return (z, _solve_w(_P8, z, y * d * d / 2))
+
+
+def _solve_w(f: BivarPoly, z: FieldElement, rhs: FieldElement) -> FieldElement:
+    """The w with f(z, w) = rhs, for f linear in w with nonzero slope at z."""
+    f0 = f.evaluate(z, 0)
+    return (rhs - f0) / (f.evaluate(z, 1) - f0)
 
 
 def _nonzero(v: FieldElement) -> bool:

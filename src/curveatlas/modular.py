@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
-from .curves import CurveId, is_on_curve
+from .curves import CurveId, is_on_curve, paper_points, rational_paper_points
 from .fixedreal import FixedReal
 from .kernel import band_solutions, integer_cbrt, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
@@ -250,16 +250,9 @@ def gamma2_of(j: int) -> Optional[int]:
 class TowerReport:
     d: int
     prec: int
-    a3: int
-    b3: int
     a2: Fraction
     b2: Fraction
     j: int
-    gamma2: Optional[int]
-    al3: Optional[int] = None
-    be3: Optional[int] = None
-    al2: Optional[Fraction] = None
-    be2: Optional[Fraction] = None
     values: Dict[str, FixedReal] = field(default_factory=dict)
     residuals: Dict[str, FixedReal] = field(default_factory=dict)
 
@@ -316,9 +309,7 @@ def verify_tower(
     s = (w + w).cbrt()
     v = s.pow_int(8) / 16
 
-    rep = TowerReport(
-        d=ctx.d, prec=P, a3=a3, b3=b3, a2=a2, b2=b2, j=j, gamma2=g2
-    )
+    rep = TowerReport(d=ctx.d, prec=P, a2=a2, b2=b2, j=j)
     rep.values.update(W=w, T=t, U=u, V=v)
     rep.residuals["eq2.2"] = _cubic_residual(w, -2 * a3, 2 * b3, -8)
     rep.residuals["eq2.3"] = _cubic_residual(t, -2 * a2, 2 * b2, -8)
@@ -332,7 +323,6 @@ def verify_tower(
         if al3be3 is not None:
             al3, be3 = al3be3
             al2, be2 = pair_k1_to_k2((Fraction(al3), Fraction(be3)))
-            rep.al3, rep.be3, rep.al2, rep.be2 = al3, be3, al2, be2
             z = s * s / 2
             rep.values.update(S=s, Z=z)
             rep.residuals["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
@@ -369,8 +359,6 @@ def weber_product_selftest(prec: int) -> FixedReal:
 def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     """The embedded (a3, b3) and (al3, be3) integer pairs for a d with
     class number one, taken from the rational point tables."""
-    from .curves import paper_points, rational_paper_points
-
     a3b3 = None
     for rec in rational_paper_points(CurveId.K3):
         if rec.d == d:

@@ -90,13 +90,29 @@ class TestKsK3Birational:
                 k3_to_ks(pt)
             assert ei.value.factors  # names the vanishing factors
 
-    def test_exceptional_factor_lists(self):
-        with pytest.raises(MapDomainError) as ei:
-            k3_to_ks((F(1), F(2)))
-        assert "x-1" in ei.value.factors
-        with pytest.raises(MapDomainError) as ei:
-            k3_to_ks((F(-1), F(-2)))
-        assert "(x+1)^5" in ei.value.factors
+    def test_raises_exactly_where_dz_vanishes(self):
+        # the two exceptional K3 points and the off-curve (0, 2) are zeros of
+        # Dz; each error names that one factor
+        for pt in ((F(1), F(2)), (F(-1), F(-2)), (F(0), F(2))):
+            with pytest.raises(MapDomainError) as ei:
+                k3_to_ks(pt)
+            assert ei.value.factors == ["2x^4+2x^3-3x^2y-2xy+6x-y+2"]
+        # off the curve at x = 1, Dz = -588: the map is defined, and w solves
+        # ks_to_k3's x-equation, so x comes back even though y does not
+        z, w = k3_to_ks((F(1), F(100)))
+        assert z == 1 - F(10388, 588)
+        assert ks_to_k3((z, w))[0] == 1
+
+    def test_round_trip_where_the_x_equation_has_slope_zero(self):
+        # KS has (-3, +-4*sqrt(21)); at z = -3 the x-equation does not
+        # involve w, and k3_to_ks reads w off the y-equation
+        for sign in (1, -1):
+            zw = (F(-3), QuadRat(21, F(0), F(4 * sign)))
+            assert is_on_curve(CurveId.KS, zw)
+            xy = ks_to_k3(zw)
+            assert xy[0] == 3
+            assert is_on_curve(CurveId.K3, xy)
+            assert k3_to_ks(xy) == zw
 
     def test_removable_singularity_points_still_map(self):
         # printed w-denominator vanishes at (1,6) and (-1,2) but the map
@@ -105,11 +121,6 @@ class TestKsK3Birational:
             zw = k3_to_ks(pt)
             assert is_on_curve(CurveId.KS, zw)
             assert ks_to_k3(zw) == pt
-
-    def test_off_curve_input_at_bad_factor_raises(self):
-        # x = 1 but not on K3: no on-curve fallback available
-        with pytest.raises(MapDomainError):
-            k3_to_ks((F(1), F(100)))
 
     def test_ks_to_k3_domain_error(self):
         # z root of z^4+4z^3-2z^2-12z+1 is irrational, but errors must
