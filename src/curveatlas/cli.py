@@ -46,9 +46,8 @@ from .maps import (
 )
 from .modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, ResidualError, boosted_w, gamma2_of, j_invariant,
-    paper_labels, recover_pair, schlafli_w, verify_tower,
-    weber_product_selftest,
+    RecoveryError, gamma2_of, j_invariant, paper_labels, recover_pair,
+    schlafli_w, verify_tower, weber_product_selftest,
 )
 from .search import reconcile, search_integral, search_ks
 
@@ -198,16 +197,17 @@ def checks_verify_maps(report: Report) -> None:
     )
     report.add("map:euler-resolvent", euler_resolvent_check(_GENERIC_PAIR),
                "identity in Q[a,b]")
-    # Pell invariant over the 11 rational K3 points
+    # Pell invariant over the 11 rational K3 points.  For a2 != 1 the residual
+    # times 4(a2-1)^2 is K6(a2, b2) in Q[a, b], so K6 is tested only at a2 = 1.
     for rec in rational_paper_points(CurveId.K3):
         a2b2 = cover_k3_to_k6(rec.pt)
-        on_k6 = is_on_curve(CurveId.K6, a2b2)
         tri = pell_params(a2b2)
         pid = f"map:pell:{_pid(rec.pt)}"
         if tri is None:
-            report.add(pid, on_k6, "a2 = 1, Pell parameter undefined")
+            report.add(pid, is_on_curve(CurveId.K6, a2b2),
+                       "a2 = 1, Pell parameter undefined")
             continue
-        ok = on_k6 and tri.residual() == 0
+        ok = tri.residual() == 0
         vals = {"k": tri.k, "u": tri.u, "v": tri.v}
         if rec.d is not None:
             expected = _PELL_EXPECTED[rec.d]
@@ -230,11 +230,11 @@ def checks_verify_maps(report: Report) -> None:
 
 def _attempt(report: Report, check_id: str, fn, *args):
     """fn(*args), or None after recording a failing check when the modular
-    engine gives no verdict: no pair or j within tolerance, a residual that
-    cannot be formed, or a precision too low to divide."""
+    engine gives no verdict: no pair or j within tolerance, a j that is not
+    the cube the tower needs, or a precision too low to divide."""
     try:
         return fn(*args)
-    except (RecoveryError, ResidualError) as e:
+    except RecoveryError as e:
         report.add(check_id, False, str(e))
     except IndistinguishableFromZeroError as e:
         report.add(check_id, False, f"precision too low: {e}")
@@ -243,8 +243,9 @@ def _attempt(report: Report, check_id: str, fn, *args):
 
 def checks_tower(report: Report, d: int, bits: Optional[int],
                  modular: bool = False) -> None:
-    """Tower checks for one d from one W at P and one boosted W; modular also
-    reports W, the pair and j (and their failures) under modular:d=... ids."""
+    """Tower checks for one d from one W at P and one engine call for j and
+    the residuals (j alone without a table pair); modular also reports W,
+    the pair and j (and their failures) under modular:d=... ids."""
     ctx = ModularContext.create(d, prec=bits)
     w = schlafli_w(ctx)
     if modular:
@@ -262,9 +263,12 @@ def checks_tower(report: Report, d: int, bits: Optional[int],
             f"tower:d={d}:recover", pair == a3b3,
             f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
         )
-    w_hi = boosted_w(ctx)
     j_id = f"modular:d={d}:j" if modular else f"tower:d={d}:j-cube"
-    j = _attempt(report, j_id, j_invariant, ctx, w_hi)
+    if a3b3 is None:
+        rep, j = None, _attempt(report, j_id, j_invariant, ctx)
+    else:
+        rep = _attempt(report, j_id, verify_tower, ctx, a3b3, al3be3)
+        j = rep.j if rep is not None else None
     if j is not None:
         g2 = gamma2_of(j)
         if modular:
@@ -273,10 +277,6 @@ def checks_tower(report: Report, d: int, bits: Optional[int],
     if a3b3 is None:
         report.add(f"tower:d={d}:labels", False,
                    f"no table pair for d={d}: h(-d) != 1, no tower to check")
-    if a3b3 is None or j is None:
-        return  # no tower, or verify_tower would fail on j again
-    rep = _attempt(report, f"tower:d={d}:residuals", verify_tower,
-                   ctx, a3b3, al3be3, w_hi)
     if rep is None:
         return
     failed = rep.failed()

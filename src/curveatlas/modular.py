@@ -16,10 +16,11 @@ root of 2W,
 
     W = S^3/2,  T = W^2/2,  U = W^8/16,  Z = S^2/2,  V = S^8/16 = U^(1/3).
 
-j and every tower residual come from one W at P + guard(d) (boosted_w) and
-are judged at P's thresholds.  The pair comes from W at P, whose own error
-keeps its 2**-(P/4) test selective: from a boosted W, P = 32 sends ~16,600
-candidates to the curve test, and P = 16 finds pairs W at P cannot back.
+j and every tower residual come from one W at P + guard(d) (boosted_w), in
+one verify_tower call, and are judged at P's thresholds.  The pair comes
+from W at P, whose own error keeps its 2**-(P/4) test selective: from a
+boosted W, P = 32 sends ~16,600 candidates to the curve test, and P = 16
+finds pairs W at P cannot back.
 """
 
 from __future__ import annotations
@@ -41,15 +42,8 @@ class InvalidDiscriminantError(ValueError):
 
 
 class RecoveryError(RuntimeError):
-    """No (or no unique) integer pair could be recovered for this d."""
-
-    def __init__(self, msg, best_defect=None):
-        super().__init__(msg)
-        self.best_defect = best_defect
-
-
-class ResidualError(RuntimeError):
-    """A tower residual exceeded its acceptance threshold."""
+    """No unique integer pair, or no integral j (a cube where the tower needs
+    one), could be recovered for this d."""
 
 
 def default_precision(d: int) -> int:
@@ -160,8 +154,7 @@ def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[in
             closest = f"best defect about 2^{e}"
         raise RecoveryError(
             f"no pair for d={ctx.d}: h(-d) != 1 or precision too low "
-            f"({closest})",
-            best_defect=best,
+            f"({closest})"
         )
     if len(set(found)) > 1:
         raise RecoveryError(
@@ -214,28 +207,33 @@ def boosted_w(ctx: ModularContext) -> FixedReal:
     return schlafli_w(ModularContext.create(ctx.d, prec=ctx.prec + guard))
 
 
-def j_invariant(ctx: ModularContext, w_hi: Optional[FixedReal] = None) -> int:
+def j_invariant(ctx: ModularContext) -> int:
     """j from U = W^8 / 16 via (U^3 - 48U^2 + 768U - 4096)/U, rounded to an
     integer; the pre-rounding defect must stay below 2**-(P/4).
 
-    The quotient uses the boosted W (w_hi, computed here unless given); the
-    defect is still judged against the context's own 2**-(P/4) threshold.
+    The quotient uses the boosted W and the defect is judged against the
+    context's own 2**-(P/4) threshold; verify_tower returns the same j.
     """
-    if w_hi is None:
-        w_hi = boosted_w(ctx)
-    return _j_and_u(ctx, w_hi)[0]
+    return _j_and_u(ctx, boosted_w(ctx))[0]
 
 
-def _j_and_u(ctx: ModularContext, w_hi: FixedReal) -> Tuple[int, FixedReal]:
-    """j_invariant's integer and the U = W^8 / 16 it came from."""
-    u = w_hi.pow_int(8) / 16
+def _j_and_u(ctx: ModularContext, w: FixedReal) -> Tuple[int, FixedReal]:
+    """From the boosted W: j_invariant's integer and the U = W^8/16 behind it."""
+    u = w.pow_int(8) / 16
     jF = (u.pow_int(3) - 48 * u.pow_int(2) + 768 * u - 4096) / u
     n, defect = jF.nearest_int()
-    if defect + jF.error_radius() >= Fraction(1, 1 << (ctx.prec // 4)):
+    radius = jF.error_radius()
+    if defect + radius >= Fraction(1, 1 << (ctx.prec // 4)):
         raise RecoveryError(
-            f"j for d={ctx.d} not integral to tolerance (defect {float(defect)})"
+            f"j for d={ctx.d} not integral to tolerance (defect {_pow2(defect)}, "
+            f"radius {_pow2(radius)}, threshold 2^-{ctx.prec // 4})"
         )
     return n, u
+
+
+def _pow2(x: Fraction) -> str:
+    """x >= 0 as a power of two, to one decimal, at any size of x."""
+    return f"2^{math.log2(x.numerator) - math.log2(x.denominator):.1f}" if x else "0"
 
 
 def gamma2_of(j: int) -> Optional[int]:
@@ -279,7 +277,6 @@ def verify_tower(
     ctx: ModularContext,
     a3b3: Tuple[int, int],
     al3be3: Optional[Tuple[int, int]] = None,
-    w_hi: Optional[FixedReal] = None,
 ) -> TowerReport:
     """Evaluate every cubic of the tower at the computed product values and
     report the residuals.
@@ -296,12 +293,13 @@ def verify_tower(
       eq3.3: S^3 - 2*al3*S^2 + 2*be3*S - 4
     For d = 3 only the 2.x equations plus V^3 - 16 are checked.
 
-    j, the values and the residuals come from the boosted W (w_hi, computed
-    here unless given) and are rounded back to P, the report's precision.
+    j (j_invariant's integer), the values and the residuals come from one
+    boosted W and are rounded back to P, the report's precision.  Raises
+    RecoveryError when j is not integral, or not the cube eq3.1 needs.
     """
     P = ctx.prec
     a3, b3 = a3b3
-    w = w_hi if w_hi is not None else boosted_w(ctx)
+    w = boosted_w(ctx)
     j, u = _j_and_u(ctx, w)
     g2 = gamma2_of(j)
     a2, b2 = cover_k3_to_k6((Fraction(a3), Fraction(b3)))
@@ -318,7 +316,7 @@ def verify_tower(
         rep.residuals["V^3-16"] = _cubic_residual(v, 0, 0, -16)
     elif ctx.d % 3 != 0:
         if g2 is None:
-            raise ResidualError(f"j for d={ctx.d} is not a perfect cube")
+            raise RecoveryError(f"j for d={ctx.d} is not a perfect cube")
         rep.residuals["eq3.1"] = _cubic_residual(v, 0, -g2, -16)
         if al3be3 is not None:
             al3, be3 = al3be3

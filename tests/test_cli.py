@@ -260,11 +260,33 @@ class TestModularFailures:
         failed = failing_checks(capsys, "verify-tower", "--d", "11")
         assert failed == {"tower:d=11:eq2.2": "|residual| < 2^-64"}
 
-    def test_residual_error(self, capsys, monkeypatch):
-        # verify_tower raises ResidualError when j is not a cube
+    def test_j_not_a_cube_fails_the_j_check_once(self, capsys, monkeypatch):
+        # verify_tower raises RecoveryError when j is not a cube; the one
+        # tower call records it under the j check and forms no residual
         monkeypatch.setattr(modular, "gamma2_of", lambda j: None)
-        failed = failing_checks(capsys, "verify-tower", "--d", "11")
-        assert "not a perfect cube" in failed["tower:d=11:residuals"]
+        code, out = run(capsys, "verify-tower", "--d", "11", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        failed = [c for c in checks if c["status"] == "fail"]
+        assert [c["id"] for c in failed] == ["tower:d=11:j-cube"]
+        assert "not a perfect cube" in failed[0]["details"]
+        assert [c["id"] for c in checks] == ["tower:d=11:recover", "tower:d=11:j-cube"]
+
+    def test_low_precision_j_failure_names_defect_radius_threshold(self, capsys):
+        code, out = run(capsys, "verify-tower", "--bits", "8", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        ids = [c["id"] for c in checks]
+        failed = {c["id"]: c["details"] for c in checks if c["status"] == "fail"}
+        for d, defect, radius in ((67, "-17.4", "-0.6"), (163, "-1.2", "20.0")):
+            assert ids.count(f"tower:d={d}:j-cube") == 1
+            assert failed[f"tower:d={d}:j-cube"] == (
+                f"j for d={d} not integral to tolerance "
+                f"(defect 2^{defect}, radius 2^{radius}, threshold 2^-2)"
+            )
+            assert [i for i in ids if i.startswith(f"tower:d={d}:")] == [
+                f"tower:d={d}:recover", f"tower:d={d}:j-cube",
+            ]
 
     def test_modular_reports_each_failure_once(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "35")
@@ -280,36 +302,43 @@ class TestModularFailures:
 
 
 def count_engine_calls(monkeypatch):
-    """Count ModularContext.create and schlafli_w calls from here on."""
-    calls = {"create": 0, "schlafli_w": 0}
-    create = modular.ModularContext.create
-    schlafli_w = modular.schlafli_w
+    """Count ModularContext.create, schlafli_w, the j quotient (_j_and_u) and
+    the CLI's j_invariant calls from here on."""
+    calls = {"create": 0, "schlafli_w": 0, "_j_and_u": 0, "j_invariant": 0}
 
-    def counted_create(cls, *args, **kwargs):
-        calls["create"] += 1
-        return create(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_w(ctx):
-        calls["schlafli_w"] += 1
-        return schlafli_w(ctx)
-
-    monkeypatch.setattr(modular.ModularContext, "create", classmethod(counted_create))
+    create = counted("create", modular.ModularContext.create)
+    monkeypatch.setattr(modular.ModularContext, "create",
+                        classmethod(lambda cls, *args, **kwargs: create(*args, **kwargs)))
+    counted_w = counted("schlafli_w", modular.schlafli_w)
     monkeypatch.setattr(modular, "schlafli_w", counted_w)
     monkeypatch.setattr(cli, "schlafli_w", counted_w)
+    monkeypatch.setattr(modular, "_j_and_u", counted("_j_and_u", modular._j_and_u))
+    monkeypatch.setattr(cli, "j_invariant", counted("j_invariant", cli.j_invariant))
     return calls
 
 
-@pytest.mark.parametrize("argv, n_d", [
-    (["verify-tower", "--d", "163"], 1),
-    (["verify-tower"], 6),
-    (["modular", "--d", "163"], 1),
-    (["modular", "--d", "35"], 1),
-], ids=["verify-tower-163", "verify-tower-all", "modular-163", "modular-35"])
-def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, n_d, n_j", [
+    (["verify-tower", "--d", "163"], 1, 0),
+    (["verify-tower"], 6, 0),
+    (["modular", "--d", "163"], 1, 0),
+    (["modular", "--d", "35"], 1, 1),
+    (["report"], 6, 0),
+], ids=["verify-tower-163", "verify-tower-all", "modular-163", "modular-35",
+        "report"])
+def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, n_j, monkeypatch, capsys):
+    # per d: W at P and one boosted W, and j formed once, by verify_tower
+    # with a table pair and by j_invariant without one
     calls = count_engine_calls(monkeypatch)
     main(argv)
     capsys.readouterr()
-    assert calls == {"create": 2 * n_d, "schlafli_w": 2 * n_d}
+    assert calls == {"create": 2 * n_d, "schlafli_w": 2 * n_d,
+                     "_j_and_u": n_d, "j_invariant": n_j}
 
 
 REMOVED = "unrecognized arguments"

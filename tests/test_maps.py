@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from curveatlas.curves import (
-    CurveId, is_on_curve, paper_points, rational_paper_points,
+    CurveId, defining_poly, is_on_curve, paper_points, rational_paper_points,
 )
-from curveatlas.kernel import QuadRat
+from curveatlas.kernel import BivarPoly, QuadRat
 from curveatlas.maps import (
     MapDomainError, cover_k1_to_k2, cover_k3_to_k6,
     euler_resolvent_check, k1_to_k3, k1_to_ks, k2_to_k6, k3_to_ks,
@@ -115,8 +115,8 @@ class TestKsK3Birational:
             assert k3_to_ks(xy) == zw
 
     def test_removable_singularity_points_still_map(self):
-        # printed w-denominator vanishes at (1,6) and (-1,2) but the map
-        # extends there; round trip must close
+        # (1,6) and (-1,2) are ordinary points of the x-equation branch
+        # (slope 2z + 6 != 0); each maps onto KS and the round trip closes
         for pt in ((F(1), F(6)), (F(-1), F(2))):
             zw = k3_to_ks(pt)
             assert is_on_curve(CurveId.KS, zw)
@@ -161,6 +161,24 @@ class TestPell:
 
     def test_undefined_at_a2_equal_one(self):
         assert pell_params((F(1), F(5))) is None
+
+    def test_cleared_residual_is_k6(self):
+        # 4(a2-1)^2 (u^2 - 2v^2 - 1) = G(a2, b2) in Q[a, b], with 2(a2-1)u
+        # and 2(a2-1)v cleared of k's denominator; so for a2 != 1 the Pell
+        # residual vanishes exactly on K6
+        a2, b2 = BivarPoly({(1, 0): 1}), BivarPoly({(0, 1): 1})
+        m = a2 - 1
+        mu, mv = (b2 - 2) - 2 * (a2 + 1) * m, (a2 + 1) * m
+        assert mu * mu - 2 * mv * mv - 4 * m * m == defining_poly(CurveId.K6)
+        rng = random.Random(6)
+        for _ in range(100):
+            p = (F(rng.randint(-40, 40), rng.randint(1, 9)),
+                 F(rng.randint(-40, 40), rng.randint(1, 9)))
+            tri = pell_params(p)
+            if tri is None:
+                continue
+            assert 2 * (p[0] - 1) * tri.u == mu.evaluate(*p)
+            assert 2 * (p[0] - 1) * tri.v == mv.evaluate(*p)
 
 
 class TestEulerResolvent:

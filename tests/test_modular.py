@@ -10,8 +10,8 @@ from curveatlas.fixedreal import FixedReal
 from curveatlas.kernel import is_squarefree
 from curveatlas.modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, boosted_w, default_precision, gamma2_of, j_invariant,
-    paper_labels, recover_pair, schlafli_w, series_length, verify_tower,
+    RecoveryError, default_precision, gamma2_of, j_invariant, paper_labels,
+    recover_pair, schlafli_w, series_length, verify_tower,
     weber_product_selftest,
 )
 
@@ -234,18 +234,17 @@ class TestVerifyTower:
             assert r.prec == ctx.prec, eq
             assert r.magnitude_below(rep.threshold_bits() + 32), eq
 
-    def test_reuses_supplied_boosted_w(self):
-        ctx = ModularContext.create(67)
-        w_hi = boosted_w(ctx)
-        assert w_hi.prec > ctx.prec
-        assert j_invariant(ctx, w_hi) == j_invariant(ctx) == EXPECTED_J[67]
-        with mock.patch.object(modular, "schlafli_w") as sw:
-            rep = verify_tower(ctx, (7, 26), (-1, 2), w_hi=w_hi)
-        sw.assert_not_called()
-        ref = verify_tower(ctx, (7, 26), (-1, 2))
-        assert rep.j == ref.j == EXPECTED_J[67]
-        for key in ref.values:
-            assert rep.values[key].mantissa == ref.values[key].mantissa, key
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_reports_j_invariants_j_from_one_boosted_w(self, d):
+        # one boosted context per call, from which j comes; W is reported at
+        # P and agrees with W computed at P
+        ctx = ModularContext.create(d)
+        with mock.patch.object(modular.ModularContext, "create",
+                               side_effect=modular.ModularContext.create) as create:
+            rep = verify_tower(ctx, *paper_labels(d))
+        assert create.call_count == 1
+        assert create.call_args.kwargs["prec"] > ctx.prec
+        assert rep.j == j_invariant(ctx) == EXPECTED_J[d]
         assert rep.values["W"].prec == ctx.prec
         assert abs(rep.values["W"].to_fraction()
                    - schlafli_w(ctx).to_fraction()) < F(1, 1 << (ctx.prec - 8))
