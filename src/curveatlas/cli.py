@@ -2,19 +2,21 @@
 
 Subcommands:
   verify-points   check every embedded table point against its curve equation
+                  (the only membership verdict on the tables)
   verify-maps     the KS <-> K3 pairing derived from the tables, round trips,
                   Pell invariants; the coverings K1 -> K2 and K3 -> K6 as
                   identities in Q[a,b], and the commuting square and Euler
                   resolvent as identities in Q[a,b]
   verify-tower    cubic-tower residuals for one d (or all six)
   modular         product value, recovered pair, j, residual table for one d
+                  (j only for a d with a table pair)
   search          bounded searches (rational height on Ks, integral box on K1/K3)
   report          the full battery in one run
 
 Exit codes: 0 all checks pass, 1 at least one failure (including a
-discriminant for which the modular engine finds no pair, no integral j or
-no usable precision), 2 bad usage (including --bits outside [8, 16384] and
-sizes below 1), 3 I/O error.  JSON output serializes every number as a
+corrupt table entry, and a discriminant for which the modular engine finds
+no pair, no integral j or no usable precision), 2 bad usage (including
+--bits outside [8, 16384] and sizes below 1), 3 I/O error.  JSON output serializes every number as a
 string (exact "p/q" rationals, decimals with an explicit error radius); the
 schema ships as report_schema.json next to this module.
 """
@@ -46,8 +48,8 @@ from .maps import (
 )
 from .modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, gamma2_of, j_invariant, paper_labels, recover_pair,
-    schlafli_w, verify_tower, weber_product_selftest,
+    RecoveryError, paper_labels, recover_pair, schlafli_w, verify_tower,
+    weber_product_selftest,
 )
 from .search import reconcile, search_integral, search_ks
 
@@ -229,9 +231,10 @@ def checks_verify_maps(report: Report) -> None:
 
 
 def _attempt(report: Report, check_id: str, fn, *args):
-    """fn(*args), or None after recording a failing check when the modular
-    engine gives no verdict: no pair or j within tolerance, a j that is not
-    the cube the tower needs, or a precision too low to divide."""
+    """fn(*args) for fn recover_pair or verify_tower, or None after recording
+    a failing check when the modular engine gives no verdict: no pair or j
+    within tolerance, a j that is not the cube the tower needs, or a
+    precision too low to divide."""
     try:
         return fn(*args)
     except RecoveryError as e:
@@ -243,9 +246,11 @@ def _attempt(report: Report, check_id: str, fn, *args):
 
 def checks_tower(report: Report, d: int, bits: Optional[int],
                  modular: bool = False) -> None:
-    """Tower checks for one d from one W at P and one engine call for j and
-    the residuals (j alone without a table pair); modular also reports W,
-    the pair and j (and their failures) under modular:d=... ids."""
+    """Tower checks for one d from one W at P and, for a d with a table
+    pair, one verify_tower call, the only source of j, gamma2 and the
+    residuals.  A d without a table pair gets W, the pair check and a
+    failing labels check, and no j.  modular also reports W, the pair and j
+    (and their failures) under modular:d=... ids."""
     ctx = ModularContext.create(d, prec=bits)
     w = schlafli_w(ctx)
     if modular:
@@ -263,22 +268,18 @@ def checks_tower(report: Report, d: int, bits: Optional[int],
             f"tower:d={d}:recover", pair == a3b3,
             f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
         )
-    j_id = f"modular:d={d}:j" if modular else f"tower:d={d}:j-cube"
-    if a3b3 is None:
-        rep, j = None, _attempt(report, j_id, j_invariant, ctx)
-    else:
-        rep = _attempt(report, j_id, verify_tower, ctx, a3b3, al3be3)
-        j = rep.j if rep is not None else None
-    if j is not None:
-        g2 = gamma2_of(j)
-        if modular:
-            report.add(j_id, True, "", j=j, gamma2=g2)
-        report.add(f"tower:d={d}:j-cube", g2 is not None, f"j={j}, gamma2={g2}")
     if a3b3 is None:
         report.add(f"tower:d={d}:labels", False,
                    f"no table pair for d={d}: h(-d) != 1, no tower to check")
+        return
+    j_id = f"modular:d={d}:j" if modular else f"tower:d={d}:j-cube"
+    rep = _attempt(report, j_id, verify_tower, ctx, a3b3, al3be3)
     if rep is None:
         return
+    if modular:
+        report.add(j_id, True, "", j=rep.j, gamma2=rep.gamma2)
+    report.add(f"tower:d={d}:j-cube", rep.gamma2 is not None,
+               f"j={rep.j}, gamma2={rep.gamma2}")
     failed = rep.failed()
     for eq, res in rep.residuals.items():
         report.add(

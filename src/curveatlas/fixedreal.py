@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .kernel import integer_cbrt
+from .kernel import integer_root
 
 
 class PrecisionMismatchError(ValueError):
@@ -85,15 +85,6 @@ class FixedReal:
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.prec)
-
-    def __float__(self) -> float:
-        p = self.prec
-        # avoid overflow for very large mantissas
-        bl = self.mantissa.bit_length()
-        if bl > 900:
-            shift = bl - 900
-            return float(self.mantissa >> shift) * 2.0 ** (shift - p)
-        return self.mantissa / (1 << p)
 
     def round_to(self, prec: int) -> "FixedReal":
         """The value rounded to nearest at prec <= self.prec; the radius
@@ -214,9 +205,9 @@ class FixedReal:
         P = self.prec
         m = self.mantissa
         neg = m < 0
-        r = integer_cbrt(abs(m) << (2 * P))
+        r = integer_root(abs(m) << (2 * P), 3)
         if r == 0:
-            err = integer_cbrt(self.errbits << (2 * P)) + 2
+            err = integer_root(self.errbits << (2 * P), 3) + 2
         else:
             err = 2 + (self.errbits << (2 * P)) // (3 * r * r) + 1
         return FixedReal(-r if neg else r, P, err)

@@ -74,15 +74,6 @@ def integer_root(n: int, k: int) -> int:
     return x
 
 
-def integer_cbrt(n: int) -> int:
-    """Floor of the real cube root of the integer n, for either sign:
-    integer_cbrt(-8) == -2 and integer_cbrt(-9) == -3."""
-    if n >= 0:
-        return integer_root(n, 3)
-    r = integer_root(-n, 3)
-    return -r if r * r * r == -n else -r - 1
-
-
 def rational_sqrt(x: Rational) -> Optional[Rational]:
     """The nonnegative square root of x when x is a square in Q, else None.
 

@@ -31,9 +31,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
-from .curves import CurveId, is_on_curve, paper_points, rational_paper_points
+from .curves import CurveId, is_on_curve, rational_paper_points
 from .fixedreal import FixedReal
-from .kernel import band_solutions, integer_cbrt, is_squarefree
+from .kernel import band_solutions, integer_root, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
 
 
@@ -238,7 +238,7 @@ def _pow2(x: Fraction) -> str:
 
 def gamma2_of(j: int) -> Optional[int]:
     """Exact integer cube root of j, when j is a perfect cube."""
-    g = integer_cbrt(abs(j))
+    g = integer_root(abs(j), 3)
     if g**3 != abs(j):
         return None
     return -g if j < 0 else g
@@ -251,6 +251,7 @@ class TowerReport:
     a2: Fraction
     b2: Fraction
     j: int
+    gamma2: Optional[int]
     values: Dict[str, FixedReal] = field(default_factory=dict)
     residuals: Dict[str, FixedReal] = field(default_factory=dict)
 
@@ -262,9 +263,6 @@ class TowerReport:
             k for k, r in self.residuals.items()
             if not r.magnitude_below(self.threshold_bits())
         ]
-
-    def all_pass(self) -> bool:
-        return not self.failed()
 
 
 def _cubic_residual(x: FixedReal, q, r, s) -> FixedReal:
@@ -293,9 +291,10 @@ def verify_tower(
       eq3.3: S^3 - 2*al3*S^2 + 2*be3*S - 4
     For d = 3 only the 2.x equations plus V^3 - 16 are checked.
 
-    j (j_invariant's integer), the values and the residuals come from one
-    boosted W and are rounded back to P, the report's precision.  Raises
-    RecoveryError when j is not integral, or not the cube eq3.1 needs.
+    j (j_invariant's integer), its cube root gamma2 (None when j is not a
+    cube), the values and the residuals come from one boosted W and are
+    rounded back to P, the report's precision.  Raises RecoveryError when j
+    is not integral, or not the cube eq3.1 needs.
     """
     P = ctx.prec
     a3, b3 = a3b3
@@ -307,7 +306,7 @@ def verify_tower(
     s = (w + w).cbrt()
     v = s.pow_int(8) / 16
 
-    rep = TowerReport(d=ctx.d, prec=P, a2=a2, b2=b2, j=j)
+    rep = TowerReport(d=ctx.d, prec=P, a2=a2, b2=b2, j=j, gamma2=g2)
     rep.values.update(W=w, T=t, U=u, V=v)
     rep.residuals["eq2.2"] = _cubic_residual(w, -2 * a3, 2 * b3, -8)
     rep.residuals["eq2.3"] = _cubic_residual(t, -2 * a2, 2 * b2, -8)
@@ -356,18 +355,24 @@ def weber_product_selftest(prec: int) -> FixedReal:
 
 def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     """The embedded (a3, b3) and (al3, be3) integer pairs for a d with
-    class number one, taken from the rational point tables."""
-    a3b3 = None
-    for rec in rational_paper_points(CurveId.K3):
-        if rec.d == d:
-            a3b3 = (int(rec.pt[0]), int(rec.pt[1]))
-    al3be3 = None
-    for rec in paper_points(CurveId.K1):
-        if rec.d == d:
-            al3be3 = (int(rec.pt[0]), int(rec.pt[1]))
+    class number one, taken from the rational point tables as they stand.
+
+    An entry labelled d is a pair only when both its coordinates are
+    integers; nothing is rounded, so a corrupt (7, 53/2) is no pair.  Raises
+    KeyError when K3 has no pair for d; a missing K1 pair is None."""
+    a3b3 = _table_pair(CurveId.K3, d)
     if a3b3 is None:
         raise KeyError(f"no embedded integer pair for d={d}")
-    return a3b3, al3be3
+    return a3b3, _table_pair(CurveId.K1, d)
+
+
+def _table_pair(c: CurveId, d: int) -> Optional[Tuple[int, int]]:
+    """The integer coordinates of c's rational table entry labelled d, or
+    None when there is none with both coordinates integral."""
+    for rec in rational_paper_points(c):
+        if rec.d == d and all(x.denominator == 1 for x in rec.pt):
+            return int(rec.pt[0]), int(rec.pt[1])
+    return None
 
 
 CLASS_NUMBER_ONE_DS = (3, 11, 19, 43, 67, 163)

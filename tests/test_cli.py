@@ -236,7 +236,7 @@ class TestModularFailures:
         failed = failing_checks(capsys, "modular", "--d", "35")
         assert "no pair" in failed["modular:d=35:pair"]
         assert "h(-d) != 1" in failed["modular:d=35:pair"]
-        assert "not integral" in failed["modular:d=35:j"]
+        assert "no table pair" in failed["tower:d=35:labels"]
 
     def test_verify_tower_without_pair_at_low_precision(self, capsys):
         failed = failing_checks(capsys, "verify-tower", "--d", "67", "--bits", "32")
@@ -290,9 +290,7 @@ class TestModularFailures:
 
     def test_modular_reports_each_failure_once(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "35")
-        assert sorted(failed) == [
-            "modular:d=35:j", "modular:d=35:pair", "tower:d=35:labels",
-        ]
+        assert sorted(failed) == ["modular:d=35:pair", "tower:d=35:labels"]
         assert len(set(failed.values())) == len(failed)
 
     def test_quadratic_table_d_has_no_table_pair(self, capsys):
@@ -300,11 +298,58 @@ class TestModularFailures:
         failed = failing_checks(capsys, "modular", "--d", "51")
         assert "no table pair" in failed["tower:d=51:labels"]
 
+    def test_no_j_without_table_pair_at_low_precision(self, capsys):
+        # j comes only from the tower call, which needs a table pair; at 12
+        # bits a numeric j for d = 59 would round a cubic irrational
+        code, out = run(capsys, "modular", "--d", "59", "--bits", "12",
+                        "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert sorted(c["id"] for c in checks if c["status"] == "fail") == [
+            "modular:d=59:pair", "tower:d=59:labels"]
+        assert "modular:d=59:j" not in {c["id"] for c in checks}
+
+
+class TestCorruptTable:
+    """A corrupt table entry is a failing check and exit 1, never a
+    traceback: the tables are judged only where they are reported."""
+
+    @pytest.fixture
+    def corrupt(self, set_table_entry):
+        set_table_entry("_K3_RATIONAL_TABLE", 67, (Fraction(7), Fraction(27)))
+        set_table_entry("_K1_TABLE", 11, (Fraction(1), Fraction(3)))
+
+    def test_verify_points_fails_the_corrupt_entries(self, capsys, corrupt):
+        failed = failing_checks(capsys, "verify-points")
+        assert sorted(failed) == ["point:K1:(1,3)", "point:K3:(7,27)"]
+
+    def test_report_gives_verdicts(self, capsys, corrupt):
+        failed = failing_checks(capsys, "report", "--height", "40", "--box", "20")
+        assert {"point:K3:(7,27)", "point:K1:(1,3)", "map:pell:(7,27)",
+                "tower:d=11:eq3.3", "tower:d=67:recover"} <= set(failed)
+        assert "singular:K3" not in failed
+
+    @pytest.mark.parametrize("argv, fails", [
+        (["verify-maps"], "map:ks_to_k3:(1,4)"),
+        (["verify-tower", "--d", "67"], "tower:d=67:recover"),
+        (["verify-tower", "--d", "11"], "tower:d=11:eq3.3"),
+    ], ids=["verify-maps", "verify-tower-67", "verify-tower-11"])
+    def test_each_command_gives_verdicts(self, capsys, corrupt, argv, fails):
+        assert fails in failing_checks(capsys, *argv)
+
+    def test_non_integral_table_pair_is_no_pair(self, capsys, set_table_entry):
+        # (7, 53/2) is not read as (7, 26): no table pair, no tower
+        set_table_entry("_K3_RATIONAL_TABLE", 67, (Fraction(7), Fraction(53, 2)))
+        failed = failing_checks(capsys, "verify-tower", "--d", "67")
+        assert sorted(failed) == ["tower:d=67:labels", "tower:d=67:recover"]
+        assert "table None" in failed["tower:d=67:recover"]
+
 
 def count_engine_calls(monkeypatch):
-    """Count ModularContext.create, schlafli_w, the j quotient (_j_and_u) and
-    the CLI's j_invariant calls from here on."""
-    calls = {"create": 0, "schlafli_w": 0, "_j_and_u": 0, "j_invariant": 0}
+    """Count ModularContext.create, schlafli_w, the j quotient (_j_and_u),
+    gamma2_of and j_invariant calls from here on."""
+    calls = {"create": 0, "schlafli_w": 0, "_j_and_u": 0, "gamma2_of": 0,
+             "j_invariant": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -319,26 +364,30 @@ def count_engine_calls(monkeypatch):
     monkeypatch.setattr(modular, "schlafli_w", counted_w)
     monkeypatch.setattr(cli, "schlafli_w", counted_w)
     monkeypatch.setattr(modular, "_j_and_u", counted("_j_and_u", modular._j_and_u))
-    monkeypatch.setattr(cli, "j_invariant", counted("j_invariant", cli.j_invariant))
+    monkeypatch.setattr(modular, "gamma2_of", counted("gamma2_of", modular.gamma2_of))
+    monkeypatch.setattr(modular, "j_invariant",
+                        counted("j_invariant", modular.j_invariant))
     return calls
 
 
-@pytest.mark.parametrize("argv, n_d, n_j", [
-    (["verify-tower", "--d", "163"], 1, 0),
-    (["verify-tower"], 6, 0),
-    (["modular", "--d", "163"], 1, 0),
-    (["modular", "--d", "35"], 1, 1),
-    (["report"], 6, 0),
+@pytest.mark.parametrize("argv, n_d, n_tower", [
+    (["verify-tower", "--d", "163"], 1, 1),
+    (["verify-tower"], 6, 6),
+    (["modular", "--d", "163"], 1, 1),
+    (["modular", "--d", "35"], 1, 0),
+    (["report"], 6, 6),
 ], ids=["verify-tower-163", "verify-tower-all", "modular-163", "modular-35",
         "report"])
-def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, n_j, monkeypatch, capsys):
-    # per d: W at P and one boosted W, and j formed once, by verify_tower
-    # with a table pair and by j_invariant without one
+def test_one_w_at_p_and_one_boosted_w_per_d(argv, n_d, n_tower, monkeypatch,
+                                            capsys):
+    # per d: W at P; per d with a table pair: one verify_tower call, with
+    # one boosted W, one j and one gamma2; j_invariant never runs
     calls = count_engine_calls(monkeypatch)
     main(argv)
     capsys.readouterr()
-    assert calls == {"create": 2 * n_d, "schlafli_w": 2 * n_d,
-                     "_j_and_u": n_d, "j_invariant": n_j}
+    assert calls == {"create": n_d + n_tower, "schlafli_w": n_d + n_tower,
+                     "_j_and_u": n_tower, "gamma2_of": n_tower,
+                     "j_invariant": 0}
 
 
 REMOVED = "unrecognized arguments"

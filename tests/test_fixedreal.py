@@ -40,9 +40,6 @@ class TestConstruction:
         assert abs(x.to_fraction() - F(1, 3)) <= x.error_radius()
         assert x.errbits >= 1
 
-    def test_float_view(self):
-        assert float(FixedReal.from_fraction(F(5, 4), 96)) == 1.25
-
     def test_precision_mismatch(self):
         a = FixedReal.from_int(1, 128)
         b = FixedReal.from_int(1, 96)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from curveatlas.curves import CurveId, defining_poly
 from curveatlas.kernel import (
-    BivarPoly, MixedRadicandError, QuadRat, band_solutions, integer_cbrt,
-    integer_root, integer_roots, integer_sqrt, is_squarefree, maybe_square,
-    rational_sqrt,
+    BivarPoly, MixedRadicandError, QuadRat, band_solutions, integer_root,
+    integer_roots, integer_sqrt, is_squarefree, maybe_square, rational_sqrt,
 )
 
 
@@ -70,20 +69,6 @@ class TestRationalSqrt:
             assert rational_sqrt(x * x) == abs(x)
 
 
-def test_integer_cbrt():
-    assert integer_cbrt(27) == 3
-    assert integer_cbrt(-27) == -3
-    assert integer_cbrt(26) == 2
-    assert integer_cbrt(0) == 0
-    big = 640320**3
-    assert integer_cbrt(big) == 640320
-    assert integer_cbrt(big - 1) == 640319
-    # floor, not truncation, below zero
-    assert integer_cbrt(-8) == -2
-    assert integer_cbrt(-9) == -3
-    assert integer_cbrt(-big - 1) == -640321
-
-
 def test_maybe_square_never_rejects_a_square():
     rng = random.Random(63)
     roots = list(range(5000)) + [rng.randint(0, 10**30) for _ in range(2000)]
@@ -101,6 +86,11 @@ def test_integer_root():
                 assert integer_root(r**k - 1, k) == r - 1
             if r > 1 and k > 1:
                 assert integer_root(r**k + 1, k) == r
+    assert integer_root(27, 3) == 3
+    assert integer_root(26, 3) == 2
+    big = 640320**3
+    assert integer_root(big, 3) == 640320
+    assert integer_root(big - 1, 3) == 640319
     with pytest.raises(ValueError):
         integer_root(-1, 2)
 

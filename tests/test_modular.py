@@ -51,7 +51,7 @@ class TestContext:
         ctx = ModularContext.create(11)
         # t8^8 = t by construction; sanity against a float evaluation
         import math
-        assert abs(float(ctx.t) - math.exp(-math.pi * math.sqrt(11))) < 1e-12
+        assert abs(ctx.t.to_fraction() - F(math.exp(-math.pi * math.sqrt(11)))) < 1e-12
 
 
 class TestSchlafliW:
@@ -221,7 +221,7 @@ class TestVerifyTower:
         ctx = ModularContext.create(d)
         a3b3, al3be3 = paper_labels(d)
         rep = verify_tower(ctx, a3b3, al3be3)
-        assert rep.all_pass(), rep.failed()
+        assert not rep.failed(), rep.failed()
 
     @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
     def test_residuals_clear_threshold_by_32_bits(self, d):
@@ -248,6 +248,12 @@ class TestVerifyTower:
         assert rep.values["W"].prec == ctx.prec
         assert abs(rep.values["W"].to_fraction()
                    - schlafli_w(ctx).to_fraction()) < F(1, 1 << (ctx.prec - 8))
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_reports_gamma2_of_its_j(self, d):
+        rep = verify_tower(ModularContext.create(d), *paper_labels(d))
+        assert rep.gamma2 == gamma2_of(rep.j)
+        assert rep.gamma2**3 == EXPECTED_J[d]
 
     @pytest.mark.parametrize("d", [3, 11, 163])
     def test_one_cube_root_along_the_coverings(self, d):
@@ -313,6 +319,15 @@ def test_paper_labels():
     assert paper_labels(3) == ((3, 6), (0, 0))
     with pytest.raises(KeyError):
         paper_labels(7)
+
+
+def test_paper_labels_round_no_coordinate(set_table_entry):
+    # a labelled entry is a pair only when both coordinates are integers
+    set_table_entry("_K1_TABLE", 11, (F(1), F(5, 2)))
+    assert paper_labels(11) == ((-1, 2), None)
+    set_table_entry("_K3_RATIONAL_TABLE", 67, (F(7), F(53, 2)))
+    with pytest.raises(KeyError):
+        paper_labels(67)
 
 
 def test_paper_labels_skip_quadratic_points():
