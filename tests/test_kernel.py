@@ -69,6 +69,16 @@ class TestRationalSqrt:
             assert rational_sqrt(x * x) == abs(x)
 
 
+def test_integer_cbrt():
+    # the cube roots taken by gamma2_of and FixedReal.cbrt, all of n >= 0
+    assert integer_root(27, 3) == 3
+    assert integer_root(26, 3) == 2
+    assert integer_root(0, 3) == 0
+    big = 640320**3
+    assert integer_root(big, 3) == 640320
+    assert integer_root(big - 1, 3) == 640319
+
+
 def test_maybe_square_never_rejects_a_square():
     rng = random.Random(63)
     roots = list(range(5000)) + [rng.randint(0, 10**30) for _ in range(2000)]
@@ -86,11 +96,6 @@ def test_integer_root():
                 assert integer_root(r**k - 1, k) == r - 1
             if r > 1 and k > 1:
                 assert integer_root(r**k + 1, k) == r
-    assert integer_root(27, 3) == 3
-    assert integer_root(26, 3) == 2
-    big = 640320**3
-    assert integer_root(big, 3) == 640320
-    assert integer_root(big - 1, 3) == 640319
     with pytest.raises(ValueError):
         integer_root(-1, 2)
 
