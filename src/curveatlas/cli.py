@@ -7,18 +7,19 @@ Subcommands:
                   Pell invariants; the coverings K1 -> K2 and K3 -> K6 as
                   identities in Q[a,b], and the commuting square and Euler
                   resolvent as identities in Q[a,b]
-  verify-tower    cubic-tower residuals for one d (or all six)
-  modular         product value, recovered pair, j, residual table for one d
-                  (j only for a d with a table pair)
+  verify-tower    per d (one, or all six): W and the recovered pair, then,
+                  for a d with a table pair, j and the cubic-tower residuals
+                  with their margins in bits; modular is an alias
   search          bounded searches (rational height on Ks, integral box on K1/K3)
   report          the full battery in one run
 
 Exit codes: 0 all checks pass, 1 at least one failure (including a
-corrupt table entry, and a discriminant for which the modular engine finds
-no pair, no integral j or no usable precision), 2 bad usage (including
---bits outside [8, 16384] and sizes below 1), 3 I/O error.  JSON output serializes every number as a
-string (exact "p/q" rationals, decimals with an explicit error radius); the
-schema ships as report_schema.json next to this module.
+corrupt table entry, and a discriminant with no table pair or for which the
+modular engine finds no pair, no integral j or no usable precision), 2 bad
+usage (including --bits outside [8, 16384] and sizes below 1), 3 I/O error.
+JSON output serializes every number as a string (exact "p/q" rationals,
+decimals with an explicit error radius); the schema ships as
+report_schema.json next to this module.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -230,62 +232,55 @@ def checks_verify_maps(report: Report) -> None:
         report.add(pid, is_on_curve(CurveId.KS, img), f"-> {_pid(img)}")
 
 
-def _attempt(report: Report, check_id: str, fn, *args):
+def _attempt(report: Report, check_id: str, fn, *args, **values):
     """fn(*args) for fn recover_pair or verify_tower, or None after recording
-    a failing check when the modular engine gives no verdict: no pair or j
-    within tolerance, a j that is not the cube the tower needs, or a
-    precision too low to divide."""
+    a failing check, with values, when the modular engine gives no verdict:
+    no pair or j within tolerance, a j that is not the cube the tower needs,
+    or a precision too low to divide."""
     try:
         return fn(*args)
     except RecoveryError as e:
-        report.add(check_id, False, str(e))
+        report.add(check_id, False, str(e), **values)
     except IndistinguishableFromZeroError as e:
-        report.add(check_id, False, f"precision too low: {e}")
+        report.add(check_id, False, f"precision too low: {e}", **values)
     return None
 
 
-def checks_tower(report: Report, d: int, bits: Optional[int],
-                 modular: bool = False) -> None:
-    """Tower checks for one d from one W at P and, for a d with a table
-    pair, one verify_tower call, the only source of j, gamma2 and the
-    residuals.  A d without a table pair gets W, the pair check and a
-    failing labels check, and no j.  modular also reports W, the pair and j
-    (and their failures) under modular:d=... ids."""
+def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
+    """Tower checks for one d, one check per verdict: tower:d=D:recover
+    judges the pair recovered from one W at P against the table and carries
+    W (also when recovery fails); for a d with a table pair, one
+    verify_tower call is the only source of j, gamma2 and the residuals.
+    A d without a table pair gets no j."""
     ctx = ModularContext.create(d, prec=bits)
     w = schlafli_w(ctx)
-    if modular:
-        report.add(f"modular:d={d}:W", True, f"P={ctx.prec}", W=w.decimal(40))
     try:
         a3b3, al3be3 = paper_labels(d)
     except KeyError:
-        a3b3 = al3be3 = None
-    pair_id = f"modular:d={d}:pair" if modular else f"tower:d={d}:recover"
-    pair = _attempt(report, pair_id, recover_pair, ctx, w)
+        a3b3 = None
+    recover_id = f"tower:d={d}:recover"
+    W = w.decimal(40)
+    pair = _attempt(report, recover_id, recover_pair, ctx, w, W=W)
     if pair is not None:
-        if modular:
-            report.add(pair_id, True, "", a3=pair[0], b3=pair[1])
-        report.add(
-            f"tower:d={d}:recover", pair == a3b3,
-            f"recovered (a3,b3)={pair}, table {a3b3}, P={ctx.prec}",
-        )
+        table = a3b3 or f"has no integer pair for d={d}"
+        report.add(recover_id, pair == a3b3,
+                   f"recovered (a3,b3)={pair}, table {table}, P={ctx.prec}",
+                   W=W, a3=pair[0], b3=pair[1])
     if a3b3 is None:
-        report.add(f"tower:d={d}:labels", False,
-                   f"no table pair for d={d}: h(-d) != 1, no tower to check")
         return
-    j_id = f"modular:d={d}:j" if modular else f"tower:d={d}:j-cube"
-    rep = _attempt(report, j_id, verify_tower, ctx, a3b3, al3be3)
+    rep = _attempt(report, f"tower:d={d}:j-cube", verify_tower, ctx, a3b3, al3be3)
     if rep is None:
         return
-    if modular:
-        report.add(j_id, True, "", j=rep.j, gamma2=rep.gamma2)
     report.add(f"tower:d={d}:j-cube", rep.gamma2 is not None,
-               f"j={rep.j}, gamma2={rep.gamma2}")
+               f"j={rep.j}, gamma2={rep.gamma2}", j=rep.j, gamma2=rep.gamma2)
     failed = rep.failed()
+    keep = rep.prec - rep.threshold_bits()
     for eq, res in rep.residuals.items():
+        margin = keep - math.log2(abs(res.mantissa) + res.errbits)
         report.add(
             f"tower:d={d}:{eq}", eq not in failed,
             f"|residual| < 2^-{rep.threshold_bits()}",
-            residual=res.decimal(40),
+            residual=res.decimal(40), margin_bits=f"{margin:.2f}",
         )
 
 
@@ -312,8 +307,11 @@ def checks_search(report: Report, curve: CurveId, bound: int) -> List:
     return res.found
 
 
-def checks_selftest(report: Report, bits_list=(64, 128, 256)) -> None:
-    for p in bits_list:
+SELFTEST_BITS = (64, 128, 256)
+
+
+def checks_selftest(report: Report) -> None:
+    for p in SELFTEST_BITS:
         st = weber_product_selftest(p)
         # the defect itself is the measured quantity; the tracked radius is a
         # worst-case bound on that same defect, so it is not added here
@@ -404,13 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify-points", help="check all embedded tables"), with_csv)
     common(sub.add_parser("verify-maps", help="check coverings and birational maps"))
 
-    p = sub.add_parser("verify-tower", help="cubic-tower residuals")
+    p = sub.add_parser("verify-tower", aliases=["modular"],
+                       help="W, pair recovery, j and cubic-tower residuals")
     p.add_argument("--d", type=int, help="one discriminant (default: all six)")
-    p.add_argument("--bits", type=bits, help=bits_help)
-    common(p)
-
-    p = sub.add_parser("modular", help="product values, pair recovery, j")
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--bits", type=bits, help=bits_help)
     common(p)
 
@@ -443,12 +437,10 @@ def main(argv=None) -> int:
             ]
         elif args.command == "verify-maps":
             checks_verify_maps(report)
-        elif args.command == "verify-tower":
+        elif args.command in ("verify-tower", "modular"):
             ds = (args.d,) if args.d is not None else CLASS_NUMBER_ONE_DS
             for d in ds:
                 checks_tower(report, d, args.bits)
-        elif args.command == "modular":
-            checks_tower(report, args.d, args.bits, modular=True)
         elif args.command == "search":
             curve = {"ks": CurveId.KS, "k1": CurveId.K1, "k3": CurveId.K3}[args.curve]
             if curve is CurveId.KS:

@@ -214,8 +214,11 @@ class TestModularCommands:
         assert code == 0
         data = json.loads(out)
         by_id = {c["id"]: c for c in data["checks"]}
-        assert by_id["modular:d=163:pair"]["values"] == {"a3": "-17", "b3": "150"}
-        assert by_id["modular:d=163:j"]["values"]["j"] == "-262537412640768000"
+        recover = by_id["tower:d=163:recover"]["values"]
+        assert (recover["a3"], recover["b3"]) == ("-17", "150")
+        assert recover["W"].startswith("0.02658649529554736436606766485195")
+        assert by_id["tower:d=163:j-cube"]["values"] == {
+            "j": "-262537412640768000", "gamma2": "-640320"}
 
     def test_invalid_d_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -234,9 +237,8 @@ def failing_checks(capsys, *argv):
 class TestModularFailures:
     def test_modular_without_pair(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "35")
-        assert "no pair" in failed["modular:d=35:pair"]
-        assert "h(-d) != 1" in failed["modular:d=35:pair"]
-        assert "no table pair" in failed["tower:d=35:labels"]
+        assert "no pair" in failed["tower:d=35:recover"]
+        assert "h(-d) != 1" in failed["tower:d=35:recover"]
 
     def test_verify_tower_without_pair_at_low_precision(self, capsys):
         failed = failing_checks(capsys, "verify-tower", "--d", "67", "--bits", "32")
@@ -244,7 +246,7 @@ class TestModularFailures:
 
     def test_verify_tower_without_table_pair(self, capsys):
         failed = failing_checks(capsys, "verify-tower", "--d", "35")
-        assert "no table pair" in failed["tower:d=35:labels"]
+        assert list(failed) == ["tower:d=35:recover"]
         assert "no pair" in failed["tower:d=35:recover"]
 
     def test_verify_tower_indistinguishable_from_zero(self, capsys):
@@ -253,7 +255,7 @@ class TestModularFailures:
 
     def test_modular_indistinguishable_from_zero(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "11", "--bits", "16")
-        assert failed["modular:d=11:pair"].startswith("precision too low")
+        assert failed["tower:d=11:recover"].startswith("precision too low")
 
     def test_residual_status_comes_from_the_tower_report(self, capsys, monkeypatch):
         monkeypatch.setattr(modular.TowerReport, "failed", lambda self: ["eq2.2"])
@@ -290,13 +292,13 @@ class TestModularFailures:
 
     def test_modular_reports_each_failure_once(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "35")
-        assert sorted(failed) == ["modular:d=35:pair", "tower:d=35:labels"]
-        assert len(set(failed.values())) == len(failed)
+        assert list(failed) == ["tower:d=35:recover"]
 
     def test_quadratic_table_d_has_no_table_pair(self, capsys):
         # d = 51 labels a quadratic K3 point, not an integer pair
         failed = failing_checks(capsys, "modular", "--d", "51")
-        assert "no table pair" in failed["tower:d=51:labels"]
+        assert list(failed) == ["tower:d=51:recover"]
+        assert "no pair" in failed["tower:d=51:recover"]
 
     def test_no_j_without_table_pair_at_low_precision(self, capsys):
         # j comes only from the tower call, which needs a table pair; at 12
@@ -305,9 +307,9 @@ class TestModularFailures:
                         "--format", "json")
         assert code == 1
         checks = json.loads(out)["checks"]
-        assert sorted(c["id"] for c in checks if c["status"] == "fail") == [
-            "modular:d=59:pair", "tower:d=59:labels"]
-        assert "modular:d=59:j" not in {c["id"] for c in checks}
+        assert [(c["id"], c["status"]) for c in checks] == [
+            ("tower:d=59:recover", "fail")]
+        assert "W" in checks[0]["values"]
 
 
 class TestCorruptTable:
@@ -341,8 +343,46 @@ class TestCorruptTable:
         # (7, 53/2) is not read as (7, 26): no table pair, no tower
         set_table_entry("_K3_RATIONAL_TABLE", 67, (Fraction(7), Fraction(53, 2)))
         failed = failing_checks(capsys, "verify-tower", "--d", "67")
-        assert sorted(failed) == ["tower:d=67:labels", "tower:d=67:recover"]
-        assert "table None" in failed["tower:d=67:recover"]
+        assert list(failed) == ["tower:d=67:recover"]
+        assert failed["tower:d=67:recover"].startswith(
+            "recovered (a3,b3)=(7, 26), table has no integer pair for d=67")
+
+
+def test_failed_recovery_carries_w(capsys):
+    code, out = run(capsys, "modular", "--d", "35", "--format", "json")
+    assert code == 1
+    [check] = json.loads(out)["checks"]
+    assert check["values"] == {
+        "W": "0.3918231212237613366721755390568222037567 (+/- 6.221e-34)"}
+
+
+def test_modular_is_verify_tower(capsys):
+    _, modular_out = run(capsys, "modular", "--d", "11", "--format", "json")
+    _, tower_out = run(capsys, "verify-tower", "--d", "11", "--format", "json")
+    modular_checks, tower_checks = (json.loads(o)["checks"]
+                                    for o in (modular_out, tower_out))
+    assert modular_checks == tower_checks
+
+
+# classical singular moduli
+EXPECTED_J = {3: 0, 11: -32768, 19: -884736, 43: -884736000,
+              67: -147197952000, 163: -262537412640768000}
+
+
+def test_report_values_match_tables_and_known_j(capsys):
+    _, out = run(capsys, "report", "--height", "30", "--box", "20",
+                 "--format", "json")
+    by_id = {c["id"]: c.get("values", {}) for c in json.loads(out)["checks"]}
+    for d, j in EXPECTED_J.items():
+        recover = by_id[f"tower:d={d}:recover"]
+        assert (int(recover["a3"]), int(recover["b3"])) == modular.paper_labels(d)[0]
+        assert by_id[f"tower:d={d}:j-cube"]["j"] == str(j)
+    # every tower residual of the six d, and nothing else, has a margin
+    margins = [float(v["margin_bits"]) for v in by_id.values() if "margin_bits" in v]
+    assert len(margins) == 34
+    # the tightest acceptance is d = 3's eq2.1, 59.05 bits inside 2^-64
+    assert min(margins) == 59.05
+    assert by_id["tower:d=3:eq2.1"]["margin_bits"] == "59.05"
 
 
 def count_engine_calls(monkeypatch):
