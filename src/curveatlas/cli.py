@@ -16,7 +16,8 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 at least one failure (including a
 corrupt table entry, and a discriminant with no table pair or for which the
 modular engine finds no pair, no integral j or no usable precision), 2 bad
-usage (including --bits outside [8, 16384] and sizes below 1), 3 I/O error.
+usage (including --bits outside [8, 16384], a --d above D_MAX = 5762473 or
+not a squarefree positive d = 3 mod 8, and sizes below 1), 3 I/O error.
 JSON output serializes every number as a string (exact "p/q" rationals,
 decimals with an explicit error radius); the schema ships as
 report_schema.json next to this module.
@@ -25,6 +26,7 @@ report_schema.json next to this module.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import io
 import json
@@ -38,8 +40,8 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .curves import (
-    CurveId, defining_poly, is_on_curve, is_singular_point, paper_points,
-    rational_paper_points, serialize_coord,
+    CurveId, PointRecord, defining_poly, integral_paper_points, is_on_curve,
+    is_singular_point, paper_points, rational_paper_points, serialize_coord,
 )
 from .fixedreal import IndistinguishableFromZeroError
 from .kernel import BivarPoly
@@ -50,8 +52,8 @@ from .maps import (
 )
 from .modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
-    RecoveryError, paper_labels, recover_pair, schlafli_w, verify_tower,
-    weber_product_selftest,
+    RecoveryError, default_precision, paper_labels, recover_pair, schlafli_w,
+    verify_tower, weber_product_selftest,
 )
 from .search import reconcile, search_integral, search_ks
 
@@ -124,12 +126,15 @@ def _pid(pt) -> str:
     return f"({serialize_coord(pt[0])},{serialize_coord(pt[1])})"
 
 
-def checks_verify_points(report: Report) -> None:
-    for curve in (CurveId.K3, CurveId.K1, CurveId.KS):
-        for rec in paper_points(curve):
-            ok = is_on_curve(curve, rec.pt)
-            details = f"d={rec.d}" if rec.d is not None else ""
-            report.add(f"point:{curve}:{_pid(rec.pt)}", ok, details)
+def checks_verify_points(report: Report) -> List[PointRecord]:
+    """One point: check per table entry; returns the records judged."""
+    records = [r for c in (CurveId.K3, CurveId.K1, CurveId.KS)
+               for r in paper_points(c)]
+    for rec in records:
+        details = f"d={rec.d}" if rec.d is not None else ""
+        report.add(f"point:{rec.curve}:{_pid(rec.pt)}",
+                   is_on_curve(rec.curve, rec.pt), details)
+    return records
 
 
 def checks_singularity(report: Report) -> None:
@@ -284,16 +289,13 @@ def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
         )
 
 
-def checks_search(report: Report, curve: CurveId, bound: int) -> List:
+def checks_search(report: Report, curve: CurveId, bound: int) -> List[PointRecord]:
     if curve is CurveId.KS:
         res = search_ks(bound)
         table = list(paper_points(CurveId.KS))
     else:
         res = search_integral(curve, bound)
-        table = [
-            r for r in rational_paper_points(curve)
-            if r.pt[0].denominator == 1 and r.pt[1].denominator == 1
-        ]
+        table = integral_paper_points(curve)
     rec = reconcile(res, table)
     report.add(
         f"search:{curve}:bound={bound}", not rec.search_only,
@@ -369,15 +371,22 @@ BITS_MIN, BITS_MAX = 8, 16384
 largest precision the tests use, one tower already takes seconds."""
 
 
-def _bounded_int(lo: int, hi: Optional[int] = None):
-    """argparse type for an integer in [lo, hi] (no upper end if hi is None)."""
+D_MAX = bisect.bisect_right(range(1 << 40), BITS_MAX, key=default_precision) - 1
+"""Largest --d, the last d whose default precision fits in BITS_MAX; above
+it --d is a usage error, with or without --bits, checked before the
+engine's squarefree test or its float precision formula sees the d."""
+
+
+def _bounded_int(lo: Optional[int], hi: Optional[int] = None):
+    """argparse type for an integer in [lo, hi]; a None end is open."""
     def parse(text: str) -> int:
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-        if v < lo or (hi is not None and v > hi):
-            want = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        if (lo is not None and v < lo) or (hi is not None and v > hi):
+            want = (f">= {lo}" if hi is None else f"<= {hi}" if lo is None
+                    else f"in [{lo}, {hi}]")
             raise argparse.ArgumentTypeError(f"must be {want}, got {v}")
         return v
     return parse
@@ -404,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tower", aliases=["modular"],
                        help="W, pair recovery, j and cubic-tower residuals")
-    p.add_argument("--d", type=int, help="one discriminant (default: all six)")
+    p.add_argument("--d", type=_bounded_int(None, D_MAX),
+                   help=f"one discriminant, at most {D_MAX} (default: all six)")
     p.add_argument("--bits", type=bits, help=bits_help)
     common(p)
 
@@ -430,11 +440,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         if args.command == "verify-points":
-            checks_verify_points(report)
-            csv_records = [
-                r for c in (CurveId.K3, CurveId.K1, CurveId.KS)
-                for r in paper_points(c)
-            ]
+            csv_records = checks_verify_points(report)
         elif args.command == "verify-maps":
             checks_verify_maps(report)
         elif args.command in ("verify-tower", "modular"):

@@ -180,6 +180,13 @@ def rational_paper_points(c: CurveId) -> List[PointRecord]:
     ]
 
 
+def integral_paper_points(c: CurveId) -> List[PointRecord]:
+    """Paper table restricted to points with both coordinates integers.
+    Nothing is rounded: a corrupt (7, 53/2) is not an integral entry."""
+    return [r for r in rational_paper_points(c)
+            if all(x.denominator == 1 for x in r.pt)]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -452,9 +452,6 @@ class BivarPoly:
                 out = out * self
         return out
 
-    def __call__(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return self.evaluate(x, y)
-
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
         """p(x, y), exact, in the ring of the inputs: a Fraction at int or
         Fraction inputs, a QuadRat when either input is a QuadRat, and a

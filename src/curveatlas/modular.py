@@ -26,12 +26,12 @@ finds pairs W at P cannot back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
-from .curves import CurveId, is_on_curve, rational_paper_points
+from .curves import CurveId, integral_paper_points, is_on_curve
 from .fixedreal import FixedReal
 from .kernel import band_solutions, integer_root, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
@@ -246,14 +246,11 @@ def gamma2_of(j: int) -> Optional[int]:
 
 @dataclass
 class TowerReport:
-    d: int
     prec: int
-    a2: Fraction
-    b2: Fraction
     j: int
     gamma2: Optional[int]
-    values: Dict[str, FixedReal] = field(default_factory=dict)
-    residuals: Dict[str, FixedReal] = field(default_factory=dict)
+    values: Dict[str, FixedReal]
+    residuals: Dict[str, FixedReal]
 
     def threshold_bits(self) -> int:
         return self.prec // 2
@@ -292,9 +289,10 @@ def verify_tower(
     For d = 3 only the 2.x equations plus V^3 - 16 are checked.
 
     j (j_invariant's integer), its cube root gamma2 (None when j is not a
-    cube), the values and the residuals come from one boosted W and are
-    rounded back to P, the report's precision.  Raises RecoveryError when j
-    is not integral, or not the cube eq3.1 needs.
+    cube) and the residuals come from one boosted W.  The report gives W,
+    its only value, and the residuals at P, the report's precision, and
+    nothing else.  Raises RecoveryError when j is not integral, or not the
+    cube eq3.1 needs.
     """
     P = ctx.prec
     a3, b3 = a3b3
@@ -302,31 +300,27 @@ def verify_tower(
     j, u = _j_and_u(ctx, w)
     g2 = gamma2_of(j)
     a2, b2 = cover_k3_to_k6((Fraction(a3), Fraction(b3)))
-    t = w * w / 2
     s = (w + w).cbrt()
     v = s.pow_int(8) / 16
 
-    rep = TowerReport(d=ctx.d, prec=P, a2=a2, b2=b2, j=j, gamma2=g2)
-    rep.values.update(W=w, T=t, U=u, V=v)
-    rep.residuals["eq2.2"] = _cubic_residual(w, -2 * a3, 2 * b3, -8)
-    rep.residuals["eq2.3"] = _cubic_residual(t, -2 * a2, 2 * b2, -8)
-    rep.residuals["eq2.1"] = _cubic_residual(u, -48, 768 - j, -4096)
+    res = {
+        "eq2.2": _cubic_residual(w, -2 * a3, 2 * b3, -8),
+        "eq2.3": _cubic_residual(w * w / 2, -2 * a2, 2 * b2, -8),
+        "eq2.1": _cubic_residual(u, -48, 768 - j, -4096),
+    }
     if ctx.d == 3:
-        rep.residuals["V^3-16"] = _cubic_residual(v, 0, 0, -16)
+        res["V^3-16"] = _cubic_residual(v, 0, 0, -16)
     elif ctx.d % 3 != 0:
         if g2 is None:
             raise RecoveryError(f"j for d={ctx.d} is not a perfect cube")
-        rep.residuals["eq3.1"] = _cubic_residual(v, 0, -g2, -16)
+        res["eq3.1"] = _cubic_residual(v, 0, -g2, -16)
         if al3be3 is not None:
             al3, be3 = al3be3
             al2, be2 = pair_k1_to_k2((Fraction(al3), Fraction(be3)))
-            z = s * s / 2
-            rep.values.update(S=s, Z=z)
-            rep.residuals["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
-            rep.residuals["eq3.2"] = _cubic_residual(z, -2 * al2, 2 * be2, -2)
-    rep.values = {k: x.round_to(P) for k, x in rep.values.items()}
-    rep.residuals = {k: x.round_to(P) for k, x in rep.residuals.items()}
-    return rep
+            res["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
+            res["eq3.2"] = _cubic_residual(s * s / 2, -2 * al2, 2 * be2, -2)
+    return TowerReport(prec=P, j=j, gamma2=g2, values={"W": w.round_to(P)},
+                       residuals={k: x.round_to(P) for k, x in res.items()})
 
 
 def weber_product_selftest(prec: int) -> FixedReal:
@@ -355,11 +349,9 @@ def weber_product_selftest(prec: int) -> FixedReal:
 
 def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
     """The embedded (a3, b3) and (al3, be3) integer pairs for a d with
-    class number one, taken from the rational point tables as they stand.
+    class number one: the integral table entries labelled d, as they stand.
 
-    An entry labelled d is a pair only when both its coordinates are
-    integers; nothing is rounded, so a corrupt (7, 53/2) is no pair.  Raises
-    KeyError when K3 has no pair for d; a missing K1 pair is None."""
+    Raises KeyError when K3 has no pair for d; a missing K1 pair is None."""
     a3b3 = _table_pair(CurveId.K3, d)
     if a3b3 is None:
         raise KeyError(f"no embedded integer pair for d={d}")
@@ -367,12 +359,9 @@ def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
 
 
 def _table_pair(c: CurveId, d: int) -> Optional[Tuple[int, int]]:
-    """The integer coordinates of c's rational table entry labelled d, or
-    None when there is none with both coordinates integral."""
-    for rec in rational_paper_points(c):
-        if rec.d == d and all(x.denominator == 1 for x in rec.pt):
-            return int(rec.pt[0]), int(rec.pt[1])
-    return None
+    """The coordinates of c's integral table entry labelled d, or None."""
+    return next(((int(r.pt[0]), int(r.pt[1]))
+                 for r in integral_paper_points(c) if r.d == d), None)
 
 
 CLASS_NUMBER_ONE_DS = (3, 11, 19, 43, 67, 163)

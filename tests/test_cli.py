@@ -53,6 +53,17 @@ class TestVerifyPoints:
         curves = {r[0] for r in rows[1:]}
         assert curves == {"K1", "K3", "Ks"}
 
+    def test_csv_rows_are_the_judged_records(self, capsys):
+        # one walk of the tables: the csv rows are, in order, the records
+        # behind the 29 point: checks
+        _, out = run(capsys, "verify-points", "--format", "json")
+        checks = [(c["id"], c.get("details", "")) for c in json.loads(out)["checks"]]
+        _, out = run(capsys, "verify-points", "--format", "csv")
+        rows = csv_rows(out)[1:]
+        assert [(f"point:{c}:({x},{y})", f"d={d}" if d else "")
+                for c, x, y, _, d in rows] == checks
+        assert len(checks) == 29
+
 
 class TestVerifyMaps:
     def test_all_pass(self, capsys):
@@ -347,6 +358,20 @@ class TestCorruptTable:
         assert failed["tower:d=67:recover"].startswith(
             "recovered (a3,b3)=(7, 26), table has no integer pair for d=67")
 
+    def test_non_integral_table_pair_is_not_searched_for(self, capsys,
+                                                         set_table_entry):
+        # the search reads the same integral entries as the tower: (7, 26)
+        # is found but is in no table, so the bound check fails
+        set_table_entry("_K3_RATIONAL_TABLE", 67, (Fraction(7), Fraction(53, 2)))
+        code, out = run(capsys, "search", "--curve", "k3", "--box", "10",
+                        "--format", "json")
+        assert code == 1
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        failed = [i for i, c in checks.items() if c["status"] == "fail"]
+        assert failed == ["search:K3:bound=10"]
+        assert "search_only=1 " in checks[failed[0]]["details"]
+        assert "search:K3:point:(7,26)" in checks
+
 
 def test_failed_recovery_carries_w(capsys):
     code, out = run(capsys, "modular", "--d", "35", "--format", "json")
@@ -447,10 +472,13 @@ REMOVED = "unrecognized arguments"
     (["search", "--curve", "ks", "--height", "5", "--partitions", "2"], REMOVED),
     (["search", "--curve", "ks", "--height", "5", "--jobs", "2"], REMOVED),
     (["report", "--jobs", "1"], REMOVED),
+    (["modular", "--d", "5762483"], "must be <= 5762473"),
+    (["verify-tower", "--d", "10000000000000099", "--bits", "64"], "must be"),
+    (["verify-tower", "--d", str(10**400 + 3)], "must be"),
 ], ids=["bits-0", "bits-below-floor", "bits-above-ceiling", "bits-huge",
         "bits-negative", "partitions-0", "search-jobs-0", "report-jobs-0",
         "report-height-0", "report-box-0", "partitions-2", "search-jobs-2",
-        "report-jobs-1"])
+        "report-jobs-1", "d-above-max", "d-above-max-with-bits", "d-400-digits"])
 def test_out_of_range_size_is_usage_error(argv, message, capsys):
     # sizes out of range, and the removed --partitions and --jobs options
     # at any value, are usage errors: exit 2 and a message, no traceback
@@ -472,6 +500,16 @@ def test_csv_without_point_records_is_usage_error(argv, capsys):
     assert ei.value.code == 2
     err = capsys.readouterr().err
     assert "invalid choice: 'csv'" in err and "Traceback" not in err
+
+
+def test_d_max_is_the_last_d_whose_precision_fits():
+    assert modular.default_precision(cli.D_MAX) <= cli.BITS_MAX
+    assert modular.default_precision(cli.D_MAX + 1) > cli.BITS_MAX
+
+
+def test_d_just_below_max_ends_in_a_verdict(capsys):
+    failed = failing_checks(capsys, "modular", "--d", "5762467")
+    assert list(failed) == ["tower:d=5762467:recover"]
 
 
 def test_bits_range_ends_are_accepted():
@@ -501,6 +539,17 @@ class TestSearchCommand:
         assert check["details"].startswith(f"found 9 points, scanned {scanned}, both=9")
         assert check["values"]["scanned"] == str(scanned)
         assert 0 < int(check["values"]["candidates"]) < scanned // 4
+
+    def test_search_csv_rows_are_the_point_checks(self, capsys):
+        _, out = run(capsys, "search", "--curve", "k3", "--box", "50",
+                     "--format", "json")
+        ids = [c["id"] for c in json.loads(out)["checks"]
+               if c["id"].startswith("search:K3:point:")]
+        _, out = run(capsys, "search", "--curve", "k3", "--box", "50",
+                     "--format", "csv")
+        rows = csv_rows(out)[1:]
+        assert [f"search:{c}:point:({x},{y})" for c, x, y, _, _ in rows] == ids
+        assert len(ids) == 9
 
     def test_search_csv(self, capsys):
         code, out = run(capsys, "search", "--curve", "k1", "--box", "5",

@@ -258,6 +258,7 @@ class TestVerifyTower:
     @pytest.mark.parametrize("d", [3, 11, 163])
     def test_one_cube_root_along_the_coverings(self, d):
         # S = cbrt(2W) is the only root taken; Z = S^2/2 and V = S^8/16
+        # follow from it, and the residuals that judge them pass
         ctx = ModularContext.create(d)
         with mock.patch.object(FixedReal, "cbrt", autospec=True,
                                side_effect=FixedReal.cbrt) as cbrt, \
@@ -265,13 +266,12 @@ class TestVerifyTower:
             rep = verify_tower(ctx, *paper_labels(d))
         assert cbrt.call_count == 1
         sqrt2.assert_not_called()
-        w, u, v = rep.values["W"], rep.values["U"], rep.values["V"]
-        diffs = [v.pow_int(3) - u]
-        if d != 3:
-            s, z = rep.values["S"], rep.values["Z"]
-            diffs += [s.pow_int(3) - 2 * w, z - s * s / 2]
-        for diff in diffs:
-            assert abs(diff.to_fraction()) <= diff.error_radius()
+        assert not rep.failed()
+
+    @pytest.mark.parametrize("d", [3, 163])
+    def test_reports_w_as_its_only_value(self, d):
+        rep = verify_tower(ModularContext.create(d), *paper_labels(d))
+        assert set(rep.values) == {"W"}
 
     def test_d3_checks_only_base_equations(self):
         ctx = ModularContext.create(3)
@@ -284,11 +284,6 @@ class TestVerifyTower:
         assert set(rep.residuals) == {
             "eq2.2", "eq2.3", "eq2.1", "eq3.1", "eq3.2", "eq3.3",
         }
-
-    def test_covering_pair_recorded(self):
-        ctx = ModularContext.create(163)
-        rep = verify_tower(ctx, (-17, 150), (2, 6))
-        assert (rep.a2, rep.b2) == (F(139), F(11318))
 
     def test_residuals_shrink_with_precision(self):
         p = 128
