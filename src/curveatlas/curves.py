@@ -174,17 +174,14 @@ def paper_points(c: CurveId) -> Tuple[PointRecord, ...]:
 
 def rational_paper_points(c: CurveId) -> List[PointRecord]:
     """Paper table restricted to points with rational coordinates."""
-    return [
-        r for r in paper_points(c)
-        if not isinstance(r.pt[0], QuadRat) and not isinstance(r.pt[1], QuadRat)
-    ]
+    return [r for r in paper_points(c)
+            if not any(isinstance(x, QuadRat) for x in r.pt)]
 
 
-def integral_paper_points(c: CurveId) -> List[PointRecord]:
-    """Paper table restricted to points with both coordinates integers.
-    Nothing is rounded: a corrupt (7, 53/2) is not an integral entry."""
-    return [r for r in rational_paper_points(c)
-            if all(x.denominator == 1 for x in r.pt)]
+def is_integral(pt: Point2) -> bool:
+    """True iff both coordinates are integers.  Nothing is rounded: a corrupt
+    table entry (7, 53/2) is not integral."""
+    return all(not isinstance(x, QuadRat) and x.denominator == 1 for x in pt)
 
 
 # ---------------------------------------------------------------------------

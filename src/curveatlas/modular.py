@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
-from .curves import CurveId, integral_paper_points, is_on_curve
+from .curves import CurveId, is_integral, is_on_curve, paper_points
 from .fixedreal import FixedReal
 from .kernel import band_solutions, integer_root, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
@@ -360,8 +360,8 @@ def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
 
 def _table_pair(c: CurveId, d: int) -> Optional[Tuple[int, int]]:
     """The coordinates of c's integral table entry labelled d, or None."""
-    return next(((int(r.pt[0]), int(r.pt[1]))
-                 for r in integral_paper_points(c) if r.d == d), None)
+    return next((tuple(map(int, r.pt)) for r in paper_points(c)
+                 if r.d == d and is_integral(r.pt)), None)
 
 
 CLASS_NUMBER_ONE_DS = (3, 11, 19, 43, 67, 163)

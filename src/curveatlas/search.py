@@ -31,6 +31,8 @@ root mod every m, so an x that some table rejects has no integral point.
 For |x| <= 200 the sieve leaves 8 of 401 x on K1 and 6 on K3.
 
 ``candidates`` counts the (p, q) or x that reached the exact test.
+``SearchSpec.covers`` is the region a bound scans completely (on KS, the set
+``scanned`` counts); a table entry inside it must be found.
 ``search_ks`` and ``search_integral`` still accept ``partitions`` and
 ``jobs`` keywords, which must be >= 1 and change nothing else.
 """
@@ -44,7 +46,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import List, Tuple
 
-from .curves import CurveId, PointRecord, Provenance, defining_poly, is_on_curve
+from .curves import (CurveId, PointRecord, Provenance, defining_poly,
+                     is_integral, is_on_curve)
 from .kernel import integer_roots, maybe_square, rational_sqrt
 
 
@@ -56,6 +59,14 @@ class SearchSpec:
     def __post_init__(self):
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
+
+    def covers(self, pt: Tuple[Fraction, Fraction]) -> bool:
+        """True iff the rational point pt lies in the region the search
+        scans completely: height(z) <= bound on KS, |x| <= bound on K1/K3."""
+        x = pt[0]
+        if self.curve is CurveId.KS:
+            return max(abs(x.numerator), x.denominator) <= self.bound
+        return is_integral(pt) and abs(x) <= self.bound
 
 
 @dataclass
@@ -81,10 +92,8 @@ class ReconcileReport:
 
 
 def _spec(curve: CurveId, bound: int, partitions: int, jobs: int) -> SearchSpec:
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if min(partitions, jobs) < 1:
+        raise ValueError("partitions and jobs must be >= 1")
     return SearchSpec(curve, bound)
 
 

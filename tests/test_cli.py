@@ -363,7 +363,7 @@ class TestCorruptTable:
         # the search reads the same integral entries as the tower: (7, 26)
         # is found but is in no table, so the bound check fails
         set_table_entry("_K3_RATIONAL_TABLE", 67, (Fraction(7), Fraction(53, 2)))
-        code, out = run(capsys, "search", "--curve", "k3", "--box", "10",
+        code, out = run(capsys, "search", "--curve", "k3", "--bound", "10",
                         "--format", "json")
         assert code == 1
         checks = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -464,24 +464,35 @@ REMOVED = "unrecognized arguments"
     (["verify-tower", "--bits", "16385"], "must be"),
     (["modular", "--d", "11", "--bits", "100000000"], "must be"),
     (["report", "--bits", "-1"], "must be"),
-    (["search", "--curve", "ks", "--height", "5", "--partitions", "0"], REMOVED),
-    (["search", "--curve", "ks", "--height", "5", "--jobs", "0"], REMOVED),
+    (["search", "--curve", "ks", "--bound", "5", "--partitions", "0"], REMOVED),
+    (["search", "--curve", "ks", "--bound", "5", "--jobs", "0"], REMOVED),
     (["report", "--jobs", "0"], REMOVED),
     (["report", "--height", "0"], "must be"),
     (["report", "--box", "0"], "must be"),
-    (["search", "--curve", "ks", "--height", "5", "--partitions", "2"], REMOVED),
-    (["search", "--curve", "ks", "--height", "5", "--jobs", "2"], REMOVED),
+    (["search", "--curve", "ks", "--bound", "5", "--partitions", "2"], REMOVED),
+    (["search", "--curve", "ks", "--bound", "5", "--jobs", "2"], REMOVED),
     (["report", "--jobs", "1"], REMOVED),
     (["modular", "--d", "5762483"], "must be <= 5762473"),
     (["verify-tower", "--d", "10000000000000099", "--bits", "64"], "must be"),
     (["verify-tower", "--d", str(10**400 + 3)], "must be"),
+    (["search", "--curve", "ks", "--bound", str(cli.BOUND_MAX + 1)], "must be"),
+    (["search", "--curve", "k1", "--bound", str(10**400)], "must be"),
+    (["report", "--height", str(cli.BOUND_MAX + 1)], "must be"),
+    (["report", "--box", str(cli.BOUND_MAX + 1)], "must be"),
+    (["search", "--curve", "ks", "--box", "5"], "required: --bound"),
+    (["search", "--curve", "k3", "--height", "10"], "required: --bound"),
+    (["search", "--curve", "k3", "--bound", "10", "--height", "10"], REMOVED),
 ], ids=["bits-0", "bits-below-floor", "bits-above-ceiling", "bits-huge",
         "bits-negative", "partitions-0", "search-jobs-0", "report-jobs-0",
         "report-height-0", "report-box-0", "partitions-2", "search-jobs-2",
-        "report-jobs-1", "d-above-max", "d-above-max-with-bits", "d-400-digits"])
+        "report-jobs-1", "d-above-max", "d-above-max-with-bits", "d-400-digits",
+        "search-bound-above-max", "search-bound-400-digits",
+        "report-height-above-max", "report-box-above-max", "search-box",
+        "search-height", "search-bound-and-height"])
 def test_out_of_range_size_is_usage_error(argv, message, capsys):
-    # sizes out of range, and the removed --partitions and --jobs options
-    # at any value, are usage errors: exit 2 and a message, no traceback
+    # sizes out of range, the removed --partitions and --jobs options at any
+    # value, and search's --height and --box (it takes one --bound) are usage
+    # errors: exit 2 and a message, no traceback, before any search runs
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
@@ -518,9 +529,18 @@ def test_bits_range_ends_are_accepted():
     assert ap.parse_args(["verify-tower", "--bits", "16384"]).bits == 16384
 
 
+def test_search_size_ends_are_accepted():
+    # parsed only: a search at BOUND_MAX takes seconds
+    ap = build_parser()
+    for bound in (1, cli.BOUND_MAX):
+        assert ap.parse_args(["search", "--curve", "ks", "--bound", str(bound)]).bound == bound
+        args = ap.parse_args(["report", "--height", str(bound), "--box", str(bound)])
+        assert (args.height, args.box) == (bound, bound)
+
+
 class TestSearchCommand:
     def test_ks_search(self, capsys):
-        code, out = run(capsys, "search", "--curve", "ks", "--height", "25",
+        code, out = run(capsys, "search", "--curve", "ks", "--bound", "25",
                         "--format", "json")
         assert code == 0
         data = json.loads(out)
@@ -528,8 +548,8 @@ class TestSearchCommand:
         assert len(pts) == 9
 
     @pytest.mark.parametrize("argv, cid, scanned", [
-        (["--curve", "ks", "--height", "25"], "search:Ks:bound=25", 4 * 200 - 1),
-        (["--curve", "k3", "--box", "30"], "search:K3:bound=30", 61),
+        (["--curve", "ks", "--bound", "25"], "search:Ks:bound=25", 4 * 200 - 1),
+        (["--curve", "k3", "--bound", "30"], "search:K3:bound=30", 61),
     ])
     def test_search_check_reports_work(self, capsys, argv, cid, scanned):
         # scanned: reduced p/q with height <= 25 (Phi(25) = 200), or x in
@@ -541,23 +561,61 @@ class TestSearchCommand:
         assert 0 < int(check["values"]["candidates"]) < scanned // 4
 
     def test_search_csv_rows_are_the_point_checks(self, capsys):
-        _, out = run(capsys, "search", "--curve", "k3", "--box", "50",
+        _, out = run(capsys, "search", "--curve", "k3", "--bound", "50",
                      "--format", "json")
         ids = [c["id"] for c in json.loads(out)["checks"]
                if c["id"].startswith("search:K3:point:")]
-        _, out = run(capsys, "search", "--curve", "k3", "--box", "50",
+        _, out = run(capsys, "search", "--curve", "k3", "--bound", "50",
                      "--format", "csv")
         rows = csv_rows(out)[1:]
         assert [f"search:{c}:point:({x},{y})" for c, x, y, _, _ in rows] == ids
         assert len(ids) == 9
 
     def test_search_csv(self, capsys):
-        code, out = run(capsys, "search", "--curve", "k1", "--box", "5",
+        code, out = run(capsys, "search", "--curve", "k1", "--bound", "5",
                         "--format", "csv")
         assert code == 0
         rows = csv_rows(out)
         assert len(rows) == 7  # header + 6 integral points
         assert all(r[3] == "search" for r in rows[1:])
+
+    def test_search_missing_a_covered_entry_fails(self, capsys, monkeypatch):
+        # (7, 26) lies inside |x| <= 50: a search that drops it fails its
+        # bound check, although it finds nothing outside the table
+        real = cli.search_integral
+
+        def drop_7_26(curve, bound):
+            res = real(curve, bound)
+            res.found = [r for r in res.found if r.pt != (7, 26)]
+            return res
+
+        monkeypatch.setattr(cli, "search_integral", drop_7_26)
+        code, out = run(capsys, "search", "--curve", "k3", "--bound", "50",
+                        "--format", "json")
+        assert code == 1
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        failed = [i for i, c in checks.items() if c["status"] == "fail"]
+        assert failed == ["search:K3:bound=50"]
+        assert "paper_only=1, search_only=0 " in checks[failed[0]]["details"]
+
+    @pytest.mark.parametrize("argv, counts", [
+        (["--curve", "k3", "--bound", "10"], "both=8, paper_only=0, search_only=0"),
+        (["--curve", "ks", "--bound", "1"], "both=5, paper_only=0, search_only=0"),
+    ], ids=["k3-10", "ks-1"])
+    def test_search_counts_are_taken_inside_the_bound(self, capsys, argv,
+                                                       counts):
+        # (-17, 150) lies outside |x| <= 10, and z = 1/2 and 2 above height
+        # 1: no entry out of reach counts as missed
+        code, out = run(capsys, "search", *argv, "--format", "json")
+        assert code == 0
+        [check] = [c for c in json.loads(out)["checks"] if "bound=" in c["id"]]
+        assert counts in check["details"]
+
+    def test_text_footer_counts_pass_and_fail(self, capsys):
+        # one bound check and six point checks; checks only pass or fail
+        code, out = run(capsys, "search", "--curve", "k1", "--bound", "2")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("  7 pass, 0 fail  (")
 
     def test_missing_bound_is_usage_error(self):
         with pytest.raises(SystemExit) as ei:
@@ -566,7 +624,7 @@ class TestSearchCommand:
 
     def test_zero_height_is_usage_error(self):
         with pytest.raises(SystemExit) as ei:
-            main(["search", "--curve", "ks", "--height", "0"])
+            main(["search", "--curve", "ks", "--bound", "0"])
         assert ei.value.code == 2
 
 

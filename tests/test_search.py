@@ -56,6 +56,32 @@ class TestSpecValidation:
                 search_integral(curve, 5)
 
 
+class TestCovers:
+    def test_ks_covers_exactly_the_scanned_fractions(self):
+        # the reduced p/q that covers admits, counted over a box twice as
+        # wide, are the 4 Phi(H) - 1 that scanned counts
+        for H in range(1, 31):
+            spec = SearchSpec(CurveId.KS, H)
+            covered = sum(spec.covers((F(p, q), F(0)))
+                          for p in range(-2 * H, 2 * H + 1)
+                          for q in range(1, 2 * H + 1) if gcd(p, q) == 1)
+            assert covered == search_ks(H).scanned
+
+    def test_integral_covers_only_integral_points_in_the_box(self):
+        spec = SearchSpec(CurveId.K3, 7)
+        assert spec.covers((F(7), F(26))) and spec.covers((F(-7), F(0)))
+        assert not spec.covers((F(8), F(0)))
+        assert not spec.covers((F(7), F(53, 2)))
+        assert not spec.covers((F(-9, 17), F(6, 289)))
+
+    @pytest.mark.parametrize("curve", [CurveId.KS, CurveId.K1, CurveId.K3])
+    @pytest.mark.parametrize("bound", [1, 2, 10, 17, 50])
+    def test_search_finds_exactly_the_covered_table_entries(self, curve, bound):
+        res = search_ks(bound) if curve is CurveId.KS else search_integral(curve, bound)
+        assert set(res.points()) == {r.pt for r in rational_paper_points(curve)
+                                     if res.spec.covers(r.pt)}
+
+
 class TestKsSearch:
     def test_height_one(self):
         pts = set(search_ks(1).points())
