@@ -13,11 +13,13 @@ Lemma: if n is a square, then |p| and q are each a square or twice a square
 p^4 = q^4 = 1 and 4pq(p^2 + q^2) = 8 (mod 16), so e = 1 + 8 - 2 + 1 = 8
 (mod 16): v2(e) = 3.  Hence n > 0 splits into pairwise coprime factors
 {2|p|, |e|, q} (p even), {|p|, |e|, 2q} (q even) or {|p|, 2|e|, q} (both
-odd), and each must be a square.  The scan enumerates only those p and q:
-about 1.7 sqrt(H) values each, so Theta(H) pairs.  Every pair still passes
-a sign test, a mod-64/63/65 prefilter and the exact ``rational_sqrt`` test.
-``scanned`` counts the reduced p/q the lemma covers, 4 Phi(H) - 1, where
-Phi(H) = phi(1) + ... + phi(H) comes from a totient sieve.
+odd), and each must be a square.  So the scan visits only p = +-2s^2
+with q an odd square, p = +- an odd square with q = 2t^2, and both odd
+squares (Theta(H) pairs), plus z = 0.  The sign test p e > 0 and a
+mod-64/63/65 prefilter act on the one factor left open, |e| or 2|e|; a
+survivor gets the exact test ``rational_sqrt`` on n, and w = sqrt(n)/q^3.
+``scanned`` counts the reduced p/q the lemma covers, 4 Phi(H) - 1, with
+Phi(H) = phi(1) + ... + phi(H) from n(n+1)/2 = sum_{d>=1} Phi(n // d).
 
 Integral search: for each integer x in [-B, B] the curve polynomial
 specializes to a monic (in y) integer quartic whose integer roots are
@@ -28,6 +30,7 @@ solubility sieve runs first: for each prime power m <= 64 a table, built
 once per curve, records which x mod m give a quartic with a root mod m, and
 only the moduli that reject some residue are kept.  An integer root is a
 root mod every m, so an x that some table rejects has no integral point.
+The scan strides through the residues the most selective table allows.
 For |x| <= 200 the sieve leaves 8 of 401 x on K1 and 6 on K3.
 
 ``candidates`` counts the (p, q) or x that reached the exact test.
@@ -112,13 +115,18 @@ def _result(spec: SearchSpec, start: float, hits: list, scanned: int,
 
 
 def _totient_sum(n: int) -> int:
-    """phi(1) + ... + phi(n), by a sieve."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:
-            for k in range(p, n + 1, p):
-                phi[k] -= phi[k] // p
-    return sum(phi)
+    """phi(1) + ... + phi(n) in O(n^(3/4)) time and O(sqrt n) memory."""
+    memo = {}
+    def phi_sum(m: int) -> int:
+        if m not in memo:
+            total, d = m * (m + 1) // 2, 2
+            while d <= m:  # all d with the quotient m // d at once
+                d_end = m // (m // d) + 1
+                total -= (d_end - d) * phi_sum(m // d)
+                d = d_end
+            memo[m] = total
+        return memo[m]
+    return phi_sum(n)
 
 
 def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
@@ -129,23 +137,26 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     """
     spec = _spec(CurveId.KS, H, partitions, jobs)
     start = time.monotonic()
-    classes = sorted({k for s in range(1, isqrt(H) + 1)
-                      for k in (s * s, 2 * s * s) if k <= H})
-    hits: List[Tuple[Fraction, Fraction]] = []
+    odd = [s * s for s in range(1, isqrt(H) + 1, 2)]
+    twice = [2 * t * t for t in range(1, isqrt(H // 2) + 1)]
+    # (q, k) for even and odd |p|: k|e| is the factor of n left to test
+    q_for = ([(q, 1) for q in odd], [(q, 1) for q in twice] + [(q, 2) for q in odd])
+    hits = [(Fraction(0), Fraction(0))]  # z = 0: f(0) = 0
     candidates = 0
-    for p in [0] + [sign * a for a in classes for sign in (1, -1)]:
-        # e = p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4, by Horner in q
-        c3, c2, c1, c0 = 4 * p, 2 * p * p, 4 * p**3, p**4
-        for q in classes:
-            if gcd(p, q) != 1:
-                continue
-            num = 2 * p * ((((q + c3) * q - c2) * q + c1) * q + c0)
-            if num < 0 or not maybe_square(num * q):
-                continue
-            candidates += 1
-            r = rational_sqrt(Fraction(num, q**5))
-            if r is not None:
-                hits += [(Fraction(p, q), r), (Fraction(p, q), -r)]
+    for a in twice + odd:
+        qs = [(q, k) for q, k in q_for[a & 1] if gcd(a, q) == 1]
+        for p in (a, -a):
+            # e = p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4, by Horner in q
+            c3, c2, c1, c0 = 4 * p, 2 * p * p, 4 * p**3, p**4
+            for q, k in qs:
+                e = (((q + c3) * q - c2) * q + c1) * q + c0
+                if p * e <= 0 or not maybe_square(k * abs(e)):
+                    continue
+                candidates += 1
+                r = rational_sqrt(2 * p * e * q)
+                if r is not None:
+                    z, w = Fraction(p, q), r / q**3
+                    hits += [(z, w), (z, -w)]
     return _result(spec, start, hits, 4 * _totient_sum(H) - 1, candidates)
 
 
@@ -193,14 +204,18 @@ def search_integral(
     spec = _spec(curve, B, partitions, jobs)
     start = time.monotonic()
     poly, sieve = defining_poly(curve), _sieve(curve)
+    (m0, t0), rest = sieve[0], sieve[1:]
     hits: List[Tuple[Fraction, Fraction]] = []
     candidates = 0
-    for x0 in range(-B, B + 1):
-        if not all(table[x0 % m] for m, table in sieve):
-            continue
-        candidates += 1
-        for y0 in integer_roots(poly.specialize_x(x0)):
-            hits.append((Fraction(x0), Fraction(y0)))
+    for r in (r for r in range(m0) if t0[r]):
+        for x0 in range(-B + (r + B) % m0, B + 1, m0):
+            for m, table in rest:
+                if not table[x0 % m]:
+                    break
+            else:
+                candidates += 1
+                for y0 in integer_roots(poly.specialize_x(x0)):
+                    hits.append((Fraction(x0), Fraction(y0)))
     return _result(spec, start, hits, 2 * B + 1, candidates)
 
 

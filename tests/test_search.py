@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from curveatlas import search
 from curveatlas.curves import (
-    CurveId, defining_poly, paper_points, rational_paper_points,
+    CurveId, defining_poly, is_integral, paper_points, rational_paper_points,
 )
 from curveatlas.kernel import integer_roots, rational_sqrt
 from curveatlas.search import (
@@ -148,7 +149,8 @@ def brute_force_ks(H):
     return hits, scanned
 
 
-@pytest.mark.parametrize("H", [1, 2, 5, 17, 60, 120, 200])
+# every H up to 60 meets each new square and twice-square class boundary
+@pytest.mark.parametrize("H", list(range(1, 61)) + [120, 200])
 def test_ks_scan_matches_brute_force(H):
     hits, scanned = brute_force_ks(H)
     for partitions in (1, 2, 3, 4):
@@ -157,6 +159,32 @@ def test_ks_scan_matches_brute_force(H):
             assert set(res.points()) == hits
             assert len(res.found) == len(hits)
             assert res.scanned == scanned
+
+
+def totient_sieve_sums(n):
+    """[phi(1) + ... + phi(k) for k <= n], by a totient sieve."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return list(accumulate(phi))
+
+
+def test_totient_sum_matches_sieve():
+    sums = totient_sieve_sums(10**5)
+    for n in list(range(2001)) + [10**5]:
+        assert search._totient_sum(n) == sums[n]
+
+
+# candidates of the scan before the lemma's class pairs: each search_ks(H)
+# must reach the exact test no more often
+PRE_CLASS_PAIR_CANDIDATES = {100: 63, 300: 223, 400: 291, 500: 331}
+
+
+@pytest.mark.parametrize("H", sorted(PRE_CLASS_PAIR_CANDIDATES))
+def test_ks_candidates_not_above_pre_class_pair_scan(H):
+    assert 0 < search_ks(H).candidates <= PRE_CLASS_PAIR_CANDIDATES[H]
 
 
 class TestIntegralSearch:
@@ -271,6 +299,20 @@ def test_sieved_search_matches_unsieved_scan(curve):
     assert len({x for x, _ in expected}) <= res.candidates < 100
 
 
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+def test_strided_sieve_matches_every_table(curve):
+    # past two strides of the largest modulus, 64: candidates are exactly
+    # the x that every table passes, and the points those of the unsieved scan
+    sieve = search._sieve(curve)
+    roots = fibre_roots(curve, 3000)
+    for B in range(1, 131):
+        res = search_integral(curve, B)
+        assert res.candidates == sum(all(t[x % m] for m, t in sieve)
+                                     for x in range(-B, B + 1))
+        assert set(res.points()) == {(F(x), F(y)) for x in range(-B, B + 1)
+                                     for y in roots[x]}
+
+
 def test_search_tables_not_built_at_import():
     # the sieve tables take about 10 ms per curve to build; start-up must
     # not pay for them
@@ -298,10 +340,8 @@ class TestReconcile:
         assert len(rep.both) == 6
 
     def test_k3_integral_subset(self):
-        table = [
-            r for r in rational_paper_points(CurveId.K3)
-            if r.pt[0].denominator == 1 and r.pt[1].denominator == 1
-        ]
+        table = [r for r in rational_paper_points(CurveId.K3)
+                 if is_integral(r.pt)]
         rep = reconcile(search_integral(CurveId.K3, 25), table)
         assert rep.clean()
         assert len(rep.both) == 9
