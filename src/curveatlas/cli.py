@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import functools
 import io
 import json
 import math
@@ -393,7 +394,9 @@ def _bounded_int(lo: Optional[int], hi: Optional[int] = None):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call; every later main reuses it."""
     ap = argparse.ArgumentParser(
         prog="curveatlas",
         description="exact verification atlas for the class-number-one curve family",

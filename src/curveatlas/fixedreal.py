@@ -183,9 +183,6 @@ class FixedReal:
         )
         return FixedReal(q, P, err)
 
-    def __rtruediv__(self, other):
-        return FixedReal.from_int(other, self.prec) / self
-
     def sqrt(self) -> "FixedReal":
         P = self.prec
         m = self.mantissa
@@ -214,7 +211,7 @@ class FixedReal:
 
     def pow_int(self, e: int) -> "FixedReal":
         if e < 0:
-            return FixedReal.from_int(1, self.prec) / self.pow_int(-e)
+            raise ValueError("negative exponent")
         if e == 0:
             return FixedReal.from_int(1, self.prec)
         out = self
@@ -227,7 +224,12 @@ class FixedReal:
     # -- comparison ---------------------------------------------------------
 
     def magnitude_below(self, bits: int) -> bool:
-        """True iff |value| + radius < 2**-bits (a sound smallness claim)."""
+        """True iff |value| + radius < 2**-bits (a sound smallness claim).
+
+        The tower's one acceptance rule: each residual at 2**-(P/2), and
+        W - 2, the pair's a3*W + c - b3 and j's defect at 2**-(P/4), each an
+        exact x - n that keeps x's radius.  The product self-test is the one
+        exception: the radius it leaves out bounds the very defect it tests."""
         if self.prec < bits:
             raise ValueError("threshold finer than the working precision")
         return abs(self.mantissa) + self.errbits < (1 << (self.prec - bits))

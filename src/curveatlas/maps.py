@@ -117,7 +117,7 @@ def k2_to_k6(p: Pair) -> Pair:
 def k1_to_ks(p: Pair) -> Pair:
     """(al3, be3) -> (z, w) on KS; undefined when al3 = 0."""
     al3, be3 = p
-    if not _nonzero(al3):
+    if al3 == 0:
         raise MapDomainError("k1_to_ks", ["al3"])
     z = be3 / (al3 * al3) - 1
     y = 1 / al3**3
@@ -162,7 +162,7 @@ def ks_to_k3(p: Pair) -> Pair:
     """
     z, w = p
     den = _D.evaluate(z, 0)
-    if not _nonzero(den):
+    if den == 0:
         raise MapDomainError("ks_to_k3", ["z^4+4z^3-2z^2-12z+1"])
     x = -_N.evaluate(z, w) / den
     y = 2 * _P8.evaluate(z, w) / (den * den)
@@ -184,7 +184,7 @@ def k3_to_ks(p: Pair) -> Pair:
     """
     x, y = p
     z_den = _DZ.evaluate(x, y)
-    if not _nonzero(z_den):
+    if z_den == 0:
         raise MapDomainError("k3_to_ks", ["2x^4+2x^3-3x^2y-2xy+6x-y+2"])
     z = 1 - _ZN.evaluate(x, y) / z_den
     d = _D.evaluate(z, 0)
@@ -197,7 +197,3 @@ def _solve_w(f: BivarPoly, z: FieldElement, rhs: FieldElement) -> FieldElement:
     """The w with f(z, w) = rhs, for f linear in w with nonzero slope at z."""
     f0 = f.evaluate(z, 0)
     return (rhs - f0) / (f.evaluate(z, 1) - f0)
-
-
-def _nonzero(v: FieldElement) -> bool:
-    return bool(v != 0)

@@ -127,31 +127,26 @@ def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[in
     P = ctx.prec
     if w is None:
         w = schlafli_w(ctx)
-    threshold = Fraction(1, 1 << (P // 4))
-
-    n, defect = w.nearest_int()
-    if n == 2 and defect + w.error_radius() < threshold:
+    if (w - 2).magnitude_below(P // 4):
         return (3, 6)
 
     c = (8 - w.pow_int(3)) / (2 * w)
     found = []
-    best = None
+    best = None  # least |defect| + radius, in units of 2^-P
     for a3 in _pair_candidates(w, c):
         bF = a3 * w + c
-        b3, dfc = bF.nearest_int()
-        total = dfc + bF.error_radius()
-        if best is None or total < best:
-            best = total
-        if total >= threshold:
-            continue
-        if is_on_curve(CurveId.K3, (Fraction(a3), Fraction(b3))):
+        b3, _ = bF.nearest_int()
+        dev = bF - b3
+        units = abs(dev.mantissa) + dev.errbits
+        best = units if best is None else min(best, units)
+        if (dev.magnitude_below(P // 4)
+                and is_on_curve(CurveId.K3, (Fraction(a3), Fraction(b3)))):
             found.append((a3, b3))
     if not found:
         if best is None:
             closest = f"no |a3| <= {PAIR_SEARCH_BOUND} within 2^-{P // 4}"
         else:
-            e = best.numerator.bit_length() - best.denominator.bit_length()
-            closest = f"best defect about 2^{e}"
+            closest = f"best defect about 2^{best.bit_length() - P - 1}"
         raise RecoveryError(
             f"no pair for d={ctx.d}: h(-d) != 1 or precision too low "
             f"({closest})"
@@ -221,19 +216,20 @@ def _j_and_u(ctx: ModularContext, w: FixedReal) -> Tuple[int, FixedReal]:
     """From the boosted W: j_invariant's integer and the U = W^8/16 behind it."""
     u = w.pow_int(8) / 16
     jF = (u.pow_int(3) - 48 * u.pow_int(2) + 768 * u - 4096) / u
-    n, defect = jF.nearest_int()
-    radius = jF.error_radius()
-    if defect + radius >= Fraction(1, 1 << (ctx.prec // 4)):
+    n, _ = jF.nearest_int()
+    dev = jF - n
+    if not dev.magnitude_below(ctx.prec // 4):
         raise RecoveryError(
-            f"j for d={ctx.d} not integral to tolerance (defect {_pow2(defect)}, "
-            f"radius {_pow2(radius)}, threshold 2^-{ctx.prec // 4})"
+            f"j for d={ctx.d} not integral to tolerance "
+            f"(defect {_pow2(abs(dev.mantissa), dev.prec)}, "
+            f"radius {_pow2(dev.errbits, dev.prec)}, threshold 2^-{ctx.prec // 4})"
         )
     return n, u
 
 
-def _pow2(x: Fraction) -> str:
-    """x >= 0 as a power of two, to one decimal, at any size of x."""
-    return f"2^{math.log2(x.numerator) - math.log2(x.denominator):.1f}" if x else "0"
+def _pow2(units: int, prec: int) -> str:
+    """units * 2^-prec >= 0 as a power of two, to one decimal, at any size."""
+    return f"2^{math.log2(units) - prec:.1f}" if units else "0"
 
 
 def gamma2_of(j: int) -> Optional[int]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -300,6 +301,19 @@ class TestModularFailures:
             assert [i for i in ids if i.startswith(f"tower:d={d}:")] == [
                 f"tower:d={d}:recover", f"tower:d={d}:j-cube",
             ]
+
+    @pytest.mark.parametrize("d, bits, closest", [
+        (35, "48", "best defect about 2^-18"),
+        (59, "40", "best defect about 2^-15"),
+        (83, "44", "best defect about 2^-18"),
+        (35, None, "no |a3| <= 1000000 within 2^-32"),
+    ])
+    def test_recover_failure_names_the_closest_candidate(self, capsys, d, bits, closest):
+        argv = ["verify-tower", "--d", str(d)] + (["--bits", bits] if bits else [])
+        failed = failing_checks(capsys, *argv)
+        assert failed[f"tower:d={d}:recover"] == (
+            f"no pair for d={d}: h(-d) != 1 or precision too low ({closest})"
+        )
 
     def test_modular_reports_each_failure_once(self, capsys):
         failed = failing_checks(capsys, "modular", "--d", "35")
@@ -665,6 +679,15 @@ class TestParser:
 
     def test_parser_builds(self):
         assert build_parser().prog == "curveatlas"
+
+    def test_main_reuses_one_parser(self, capsys, monkeypatch):
+        used = []
+        parse = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda ap, *a, **k: used.append(ap) or parse(ap, *a, **k))
+        for _ in range(2):
+            assert main(["verify-points"]) == 0
+        assert len(used) == 2 and used[0] is used[1]
 
 
 def test_cli_import_does_not_load_sympy():

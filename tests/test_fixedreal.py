@@ -88,6 +88,10 @@ class TestArithmetic:
             assert a.pow_int(e).to_fraction() == F(-3, 2) ** e
             assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
 
+    def test_pow_int_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            FixedReal.from_int(2, 64).pow_int(-1)
+
     def test_int_scalar_ops(self):
         a = FixedReal.from_int(5, 128)
         assert (a - 2).to_fraction() == 3
@@ -136,6 +140,25 @@ class TestComparisonsAndRecognition:
         tiny = FixedReal(1 << 10, 128)  # 2^-118
         assert tiny.magnitude_below(100)
         assert not tiny.magnitude_below(120)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_integer_test_matches_the_fraction_rule_at_the_edge(self, data):
+        # |x - n| + radius planted one unit below, at, and one unit above
+        # 2^-bits; (x - n).magnitude_below(bits), the pair, j and W ~ 2 test
+        # (n = 2), must decide as the reference rule: n the nearest integer,
+        # and the Fraction defect plus radius below 2^-bits.
+        prec = data.draw(st.integers(8, 300), label="prec")
+        bits = data.draw(st.integers(1, prec), label="bits")
+        n = data.draw(st.one_of(st.just(2), st.integers(-(1 << 80), 1 << 80)), label="n")
+        units = (1 << (prec - bits)) + data.draw(st.sampled_from([-1, 0, 1]), label="edge")
+        err = min(data.draw(st.integers(0, 1 << 12), label="errbits"), units)
+        sign = data.draw(st.sampled_from([-1, 1]), label="sign")
+        x = FixedReal((n << prec) + sign * (units - err), prec, err)
+        nearest, defect = x.nearest_int()
+        reference = nearest == n and defect + x.error_radius() < F(1, 1 << bits)
+        assert (x - n).magnitude_below(bits) == reference
+        assert reference == (units < 1 << (prec - bits))
 
     def test_nearest_int(self):
         x = FixedReal.from_fraction(F(299, 100), 128)
