@@ -109,10 +109,8 @@ def integer_roots(coeffs: Mapping[int, int]) -> list[int]:
         raise ValueError("negative exponent")
     low_to_high = [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
     bound = _fujiwara_bound(low_to_high)
-    return [
-        k for k in _root_brackets(low_to_high, bound)
-        if _eval_int(low_to_high, k) == 0
-    ]
+    brackets = _root_brackets(low_to_high, bound)
+    return sorted(k for k, fk in brackets.items() if fk == 0)
 
 
 def _fujiwara_bound(low_to_high: list) -> int:
@@ -139,34 +137,30 @@ def _eval_int(low_to_high: list, x: int) -> int:
     return acc
 
 
-def _root_brackets(low_to_high: list, bound: int) -> list:
-    """Sorted integers in [-bound, bound] that include floor(r) and ceil(r)
-    of every real root r of the polynomial, all of whose roots lie within
-    bound."""
+def _root_brackets(low_to_high: list, bound: int) -> dict:
+    """{k: f(k)} for a set of integers k in [-bound, bound] that includes
+    floor(r) and ceil(r) of every real root r of the polynomial f, all of
+    whose roots lie within bound.  f is evaluated once per point."""
     if len(low_to_high) == 1:
-        return [-bound, bound]
+        return dict.fromkeys((-bound, bound), low_to_high[0])
     derivative = [j * c for j, c in enumerate(low_to_high)][1:]
-    points = _root_brackets(derivative, bound)
-    out = set(points)
+    points = sorted(_root_brackets(derivative, bound))
+    out = {k: _eval_int(low_to_high, k) for k in points}
     for a, b in zip(points, points[1:]):
         # with b - a >= 2 no root of f' lies in (a, b): f is strictly monotone
-        if b - a < 2:
+        fa, fb = out[a], out[b]
+        if b - a < 2 or fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
             continue
-        fa = _eval_int(low_to_high, a)
-        fb = _eval_int(low_to_high, b)
-        if fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            continue
-        lo, hi = a, b
+        lo, hi, flo, fhi = a, b, fa, fb
         while hi - lo > 1:
             mid = (lo + hi) // 2
             fm = _eval_int(low_to_high, mid)
             if (fm > 0) == (fa > 0):
-                lo = mid
+                lo, flo = mid, fm
             else:
-                hi = mid
-        out.add(lo)
-        out.add(hi)
-    return sorted(out)
+                hi, fhi = mid, fm
+        out[lo], out[hi] = flo, fhi
+    return out
 
 
 def band_solutions(m: int, q: int, c: int, ex: int, ey: int) -> list[tuple[int, int]]:

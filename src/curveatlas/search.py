@@ -26,12 +26,16 @@ specializes to a monic (in y) integer quartic whose integer roots are
 extracted exactly by ``integer_roots``: the real roots of the derivatives
 bracket the quartic into monotone pieces, and integer bisection inside each
 piece, within an integer Fujiwara bound, pins every root.  A local
-solubility sieve runs first: for each prime power m <= 64 a table, built
-once per curve, records which x mod m give a quartic with a root mod m, and
-only the moduli that reject some residue are kept.  An integer root is a
-root mod every m, so an x that some table rejects has no integral point.
-The scan strides through the residues the most selective table allows.
-For |x| <= 200 the sieve leaves 8 of 401 x on K1 and 6 on K3.
+solubility sieve runs first: a table per modulus m, built once per curve
+and m, records which x mod m give a quartic with a root mod m, and only
+the moduli that reject some residue are used.  An integer root is a root
+mod every m, so an x that some table rejects has no integral point.  The
+sieve is sized to the bound B: every prime power m <= 64, then the primes
+67, 71, 73, ... in order while the expected number of survivors, (2B + 1)
+times the product of the table densities, is at least 1, and never past
+the prime 251.  The scan strides through the residues the most selective
+table allows.  For |x| <= 200 the sieve leaves 4 of 401 x on K1 and 6 on
+K3, exactly the x of the integral points; at |x| <= 10^6 it leaves 5 and 8.
 
 ``candidates`` counts the (p, q) or x that reached the exact test.
 ``SearchSpec.covers`` is the region a bound scans completely (on KS, the set
@@ -100,10 +104,11 @@ def _spec(curve: CurveId, bound: int, partitions: int, jobs: int) -> SearchSpec:
     return SearchSpec(curve, bound)
 
 
-def _result(spec: SearchSpec, start: float, hits: list, scanned: int,
+def _result(spec: SearchSpec, start: float, points: list, scanned: int,
             candidates: int) -> SearchResult:
+    """points: the distinct points found, sorted."""
     records = []
-    for pt in sorted(set(hits)):
+    for pt in points:
         if not is_on_curve(spec.curve, pt):  # independent re-check
             raise AssertionError(f"search emitted off-curve point {pt}")
         records.append(PointRecord(spec.curve, pt, Provenance.SEARCH))
@@ -157,38 +162,53 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
                 if r is not None:
                     z, w = Fraction(p, q), r / q**3
                     hits += [(z, w), (z, -w)]
-    return _result(spec, start, hits, 4 * _totient_sum(H) - 1, candidates)
+    return _result(spec, start, sorted(set(hits)), 4 * _totient_sum(H) - 1,
+                   candidates)
 
 
 # -- integral box search -----------------------------------------------------
 
-# the prime powers m <= 64 that divide no other: a root mod m is also one
-# mod every divisor of m, so the divisors would reject nothing more
+# the prime powers m <= 64 that divide no other (a root mod m is also one
+# mod every divisor of m, so the divisors would reject nothing more), then
+# the primes from 67 to 251: a cap that no bound <= 10^6 reaches (K1 stops
+# at 181 there), so the walk ends whatever the table densities
 _SIEVE_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61)
+                 53, 59, 61) + tuple(
+    p for p in range(67, 252) if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
 @lru_cache(maxsize=None)
-def _sieve(curve: CurveId) -> Tuple[Tuple[int, bytes], ...]:
-    """(m, table) with table[x % m] = 1 iff the fibre quartic at x has a
-    root mod m, for the moduli that reject some x; most selective first."""
+def _table(curve: CurveId, m: int) -> bytes:
+    """table[x % m] = 1 iff the fibre quartic at x has a root mod m."""
     poly = defining_poly(curve)
-    tables = []
+    table = bytearray(m)
+    for x in range(m):
+        coeffs = poly.specialize_x(x)
+        high_to_low = [coeffs.get(j, 0) % m for j in range(max(coeffs), -1, -1)]
+        for y in range(m):
+            acc = 0
+            for c in high_to_low:
+                acc = acc * y + c
+            if acc % m == 0:
+                table[x] = 1
+                break
+    return bytes(table)
+
+
+def _sieve(curve: CurveId, B: int) -> List[Tuple[int, bytes]]:
+    """(m, table) for the moduli that reject some x and that a box |x| <= B
+    needs, most selective first: every m <= 64, then the primes in order
+    while (2B + 1) times the product of the table densities is >= 1."""
+    tables, expected = [], 2 * B + 1
     for m in _SIEVE_MODULI:
-        table = bytearray(m)
-        for x in range(m):
-            coeffs = poly.specialize_x(x)
-            high_to_low = [coeffs.get(j, 0) % m for j in range(max(coeffs), -1, -1)]
-            for y in range(m):
-                acc = 0
-                for c in high_to_low:
-                    acc = acc * y + c
-                if acc % m == 0:
-                    table[x] = 1
-                    break
-        if not all(table):
-            tables.append((m, bytes(table)))
-    return tuple(sorted(tables, key=lambda t: sum(t[1]) / t[0]))
+        if m > 64 and expected < 1:
+            break
+        table = _table(curve, m)
+        density = sum(table) / m
+        if density < 1:
+            tables.append((density, m, table))
+            expected *= density
+    return [(m, table) for _, m, table in sorted(tables)]
 
 
 def search_integral(
@@ -203,9 +223,9 @@ def search_integral(
         raise ValueError("integral-box search is defined for K1/K3 only")
     spec = _spec(curve, B, partitions, jobs)
     start = time.monotonic()
-    poly, sieve = defining_poly(curve), _sieve(curve)
+    poly, sieve = defining_poly(curve), _sieve(curve, B)
     (m0, t0), rest = sieve[0], sieve[1:]
-    hits: List[Tuple[Fraction, Fraction]] = []
+    hits: List[Tuple[int, int]] = []
     candidates = 0
     for r in (r for r in range(m0) if t0[r]):
         for x0 in range(-B + (r + B) % m0, B + 1, m0):
@@ -215,8 +235,9 @@ def search_integral(
             else:
                 candidates += 1
                 for y0 in integer_roots(poly.specialize_x(x0)):
-                    hits.append((Fraction(x0), Fraction(y0)))
-    return _result(spec, start, hits, 2 * B + 1, candidates)
+                    hits.append((x0, y0))
+    points = [(Fraction(x), Fraction(y)) for x, y in sorted(set(hits))]
+    return _result(spec, start, points, 2 * B + 1, candidates)
 
 
 def reconcile(found: SearchResult, table: List[PointRecord]) -> ReconcileReport:

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curveatlas import search
+from curveatlas.cli import BOUND_MAX
 from curveatlas.curves import (
     CurveId, defining_poly, is_integral, paper_points, rational_paper_points,
 )
@@ -280,12 +281,14 @@ def fibre_roots(curve, B):
 
 @pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
 def test_sieve_rejects_only_empty_fibres(curve):
-    sieve = search._sieve(curve)
-    assert sieve  # both curves have moduli that reject something
     roots = fibre_roots(curve, 3000)
-    rejected = [x for x in roots if not all(t[x % m] for m, t in sieve)]
-    assert len(rejected) > 0.9 * len(roots)
-    assert all(roots[x] == [] for x in rejected)
+    for B in (1, 50, 200, 3000, BOUND_MAX):  # the selection grows with B
+        sieve = search._sieve(curve, B)
+        assert sieve  # both curves have moduli that reject something
+        for m, t in sieve:  # each table alone rejects only empty fibres
+            assert all(roots[x] == [] for x in roots if not t[x % m])
+        rejected = [x for x in roots if not all(t[x % m] for m, t in sieve)]
+        assert len(rejected) > 0.9 * len(roots)
 
 
 @pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
@@ -299,28 +302,105 @@ def test_sieved_search_matches_unsieved_scan(curve):
     assert len({x for x, _ in expected}) <= res.candidates < 100
 
 
+def sieve_steps(curve):
+    """The B in [2, BOUND_MAX] whose sieve has more tables than B - 1's,
+    found by bisection: the selection only grows with B."""
+    size = lambda B: len(search._sieve(curve, B))
+    def steps(lo, hi):  # the steps in (lo, hi]
+        if size(lo) == size(hi):
+            return []
+        if hi - lo == 1:
+            return [hi]
+        mid = (lo + hi) // 2
+        return steps(lo, mid) + steps(mid, hi)
+    return steps(1, BOUND_MAX)
+
+
+def passing_count(sieve, B):
+    """How many x in [-B, B] every table passes: one byte per x, each table
+    repeated across the box and read as an integer bit mask."""
+    n, mask = 2 * B + 1, -1
+    for m, t in sieve:
+        start = -B % m
+        mask &= int.from_bytes((t * (n // m + 2))[start:start + n], "big")
+    return bin(mask).count("1")
+
+
 @pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
 def test_strided_sieve_matches_every_table(curve):
-    # past two strides of the largest modulus, 64: candidates are exactly
-    # the x that every table passes, and the points those of the unsieved scan
-    sieve = search._sieve(curve)
+    # past two strides of the largest base modulus, 64, and on both sides of
+    # every bound where the sieve adds a prime: candidates are exactly the
+    # x that every table of that bound passes, and the points those of the
+    # unsieved scan (past |x| = 3000, the table entries the bound covers)
+    steps = sieve_steps(curve)
+    assert 10 < len(steps) < 40 and max(steps) <= BOUND_MAX
     roots = fibre_roots(curve, 3000)
-    for B in range(1, 131):
+    table = {r.pt for r in rational_paper_points(curve)}
+    for B in sorted(set(range(1, 131)) | {b for s in steps for b in (s - 1, s)}):
         res = search_integral(curve, B)
-        assert res.candidates == sum(all(t[x % m] for m, t in sieve)
-                                     for x in range(-B, B + 1))
-        assert set(res.points()) == {(F(x), F(y)) for x in range(-B, B + 1)
-                                     for y in roots[x]}
+        assert res.candidates == passing_count(search._sieve(curve, B), B)
+        if B <= 3000:
+            expected = {(F(x), F(y)) for x in range(-B, B + 1) for y in roots[x]}
+        else:
+            expected = {pt for pt in table if res.spec.covers(pt)}
+        assert set(res.points()) == expected
+
+
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+@pytest.mark.parametrize("B", [1, 50, 200, 10**4, BOUND_MAX])
+def test_sieve_meets_the_stop_rule_or_the_cap(curve, B):
+    # every prime power <= 64 that rejects some x, then the rejecting primes
+    # in order until (2B + 1) * (product of densities) < 1 or the cap
+    rejecting = [m for m in search._SIEVE_MODULI
+                 if not all(search._table(curve, m))]
+    density = {m: F(sum(t), m) for m, t in search._sieve(curve, B)}
+    primes = [m for m in rejecting if m > 64]
+    used = [m for m in primes if m in density]
+    assert sorted(density) == sorted([m for m in rejecting if m <= 64] + used)
+    assert used == primes[:len(used)]
+    expected = (2 * B + 1) * prod(density.values())
+    assert expected < 1 or used == primes
+    if used:  # the last prime was needed
+        assert expected / density[used[-1]] >= 1
+    assert list(density) == sorted(density, key=density.get)
+
+
+def test_sieve_primes_by_bound():
+    # the density model at work: K1 adds primes from B = 45 on and K3 none
+    # below 376, and at BOUND_MAX both stop well below the cap
+    extra = lambda curve, B: sorted(m for m, _ in search._sieve(curve, B) if m > 64)
+    assert extra(CurveId.K1, 44) == [] and extra(CurveId.K1, 45) == [67]
+    assert extra(CurveId.K1, 200) == [67, 71, 73, 79, 83]
+    assert extra(CurveId.K3, 375) == [] and extra(CurveId.K3, 376) == [67]
+    for curve in (CurveId.K1, CurveId.K3):
+        assert max(extra(curve, BOUND_MAX)) < search._SIEVE_MODULI[-1]
+
+
+def test_each_table_is_built_once():
+    # one table per (curve, m), whatever order the bounds come in: the
+    # cache holds exactly the moduli the largest bound walks on each curve
+    search._table.cache_clear()
+    bounds = (1, 10**4, 50, 200, 199, 10**4)
+    for B in bounds:
+        for curve in (CurveId.K1, CurveId.K3):
+            search_integral(curve, B)
+    walked = 0
+    for curve in (CurveId.K1, CurveId.K3):
+        largest = max(m for m, _ in search._sieve(curve, max(bounds)))
+        walked += search._SIEVE_MODULI.index(largest) + 1
+    info = search._table.cache_info()
+    assert info.misses == info.currsize == walked
+    assert info.hits > 0
 
 
 def test_search_tables_not_built_at_import():
-    # the sieve tables take about 10 ms per curve to build; start-up must
-    # not pay for them
+    # the sieve tables take about 5 ms per curve to build at small bounds
+    # and about 50 ms at BOUND_MAX; start-up must not pay for them
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import curveatlas.cli, curveatlas.search as s; "
-            "print(s._sieve.cache_info().currsize)")
+            "print(s._table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "0"
