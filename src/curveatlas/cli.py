@@ -15,8 +15,9 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one failure (including a
 corrupt table entry, a search that misses a table entry inside its bound,
-and a discriminant with no table pair or for which the modular engine finds
-no pair, no integral j or no usable precision), 2 bad usage (including
+a discriminant with no K3 table pair, or with no K1 table pair when 3 does
+not divide it, and one for which the modular engine finds no pair, no
+integral j or no usable precision), 2 bad usage (including
 --bits outside [8, 16384], a --d above D_MAX = 5762473 or not a squarefree
 positive d = 3 mod 8, and search sizes outside [1, BOUND_MAX]), 3 I/O error.
 JSON output serializes every number as a string (exact "p/q" rationals,
@@ -43,7 +44,7 @@ from typing import Dict, List, Optional
 from . import __version__
 from .curves import (
     CurveId, PointRecord, defining_poly, is_on_curve, is_singular_point,
-    paper_points, rational_paper_points, serialize_coord,
+    paper_points, rational_paper_points,
 )
 from .fixedreal import IndistinguishableFromZeroError
 from .kernel import BivarPoly
@@ -122,7 +123,8 @@ class Report:
 
 
 def _pid(pt) -> str:
-    return f"({serialize_coord(pt[0])},{serialize_coord(pt[1])})"
+    """The point as (x,y), each coordinate as str() prints it (render_csv)."""
+    return f"({pt[0]},{pt[1]})"
 
 
 def checks_verify_points(report: Report) -> List[PointRecord]:
@@ -224,7 +226,7 @@ def checks_verify_maps(report: Report) -> None:
         report.add(pid, ok, "u^2 - 2v^2 = 1", **vals)
     # K1 -> KS images of the table points with al3 != 0
     for rec in paper_points(CurveId.K1):
-        pid = f"map:k1_to_ks:({rec.pt[0]},{rec.pt[1]})"
+        pid = f"map:k1_to_ks:{_pid(rec.pt)}"
         if rec.pt[0] == 0:
             try:
                 k1_to_ks(rec.pt)
@@ -255,13 +257,11 @@ def checks_tower(report: Report, d: int, bits: Optional[int]) -> None:
     judges the pair recovered from one W at P against the table and carries
     W (also when recovery fails); for a d with a table pair, one
     verify_tower call is the only source of j, gamma2 and the residuals.
-    A d without a table pair gets no j."""
+    A d without a K3 table pair gets no j, and one without the K1 pair that
+    eq3.2 and eq3.3 need fails tower:d=D:j-cube."""
     ctx = ModularContext.create(d, prec=bits)
     w = schlafli_w(ctx)
-    try:
-        a3b3, al3be3 = paper_labels(d)
-    except KeyError:
-        a3b3 = None
+    a3b3, al3be3 = paper_labels(d)
     recover_id = f"tower:d={d}:recover"
     W = w.decimal(40)
     pair = _attempt(report, recover_id, recover_pair, ctx, w, W=W)
@@ -312,8 +312,9 @@ def checks_selftest(report: Report) -> None:
     for p in SELFTEST_BITS:
         st = weber_product_selftest(p)
         # the defect itself is the measured quantity; the tracked radius is a
-        # worst-case bound on that same defect, so it is not added here
-        ok = abs(st.to_fraction()) < Fraction(1, 1 << (p - 8))
+        # worst-case bound on that same defect, so it is not added here;
+        # st.prec is p, so |mantissa| < 2^8 is |defect| < 2^-(p - 8)
+        ok = abs(st.mantissa) < 1 << 8
         report.add(
             f"selftest:product:P={p}", ok,
             f"|sigma*sigma1*sigma2 - sqrt2| < 2^-{p - 8}",
@@ -331,8 +332,7 @@ def render_csv(records) -> str:
     wtr.writerow(["curve", "coord1", "coord2", "provenance", "d"])
     for r in records:
         wtr.writerow([
-            str(r.curve), serialize_coord(r.pt[0]), serialize_coord(r.pt[1]),
-            str(r.provenance), r.d if r.d is not None else "",
+            r.curve, *r.pt, r.provenance, r.d if r.d is not None else "",
         ])
     return buf.getvalue()
 

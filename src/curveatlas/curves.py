@@ -183,14 +183,3 @@ def is_integral(pt: Point2) -> bool:
     table entry (7, 53/2) is not integral."""
     return all(not isinstance(x, QuadRat) and x.denominator == 1 for x in pt)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def serialize_coord(v: FieldElement) -> str:
-    """Exact string form: "p/q" for rationals, "a+b*sqrt(m)" for quadratics."""
-    if isinstance(v, QuadRat):
-        return str(v)
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)

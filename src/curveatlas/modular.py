@@ -20,7 +20,8 @@ j and every tower residual come from one W at P + guard(d) (boosted_w), in
 one verify_tower call, and are judged at P's thresholds.  The pair comes
 from W at P, whose own error keeps its 2**-(P/4) test selective: from a
 boosted W, P = 32 sends ~16,600 candidates to the curve test, and P = 16
-finds pairs W at P cannot back.
+finds pairs W at P cannot back.  a3 and b3 come whole from one lattice
+search; the K1 pair (al3, be3) comes from the table alone (paper_labels).
 """
 
 from __future__ import annotations
@@ -106,16 +107,11 @@ def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[in
 
     b3 must make (8 + 2*a3*W^2 - W^3)/(2W) = a3*W + c, c = (8 - W^3)/(2W),
     an integer to within 2**-(P/4) counting the tracked error, and (a3, b3)
-    must lie exactly on the K3 curve.  Every a3 with |a3| <= A =
-    PAIR_SEARCH_BOUND that can pass the defect test is found exactly, with
-    no floating point (see _pair_candidates): since a3*W + c has mantissa
-    exactly a3*M_W + M_c, such an a3 is the first coordinate of a point of
-    the lattice {(a, a*M_W - b*2^P)} in a box around (0, -M_c), whose width
-    in a is at most 2A and whose height is the band 2^(P - P/4) less the
-    tracked error.  kernel.band_solutions lists every point of that box, so
-    the search is complete, not sampled.  Each candidate is then
-    re-examined by the FixedReal defect test and by exact integer curve
-    membership.
+    must lie exactly on the K3 curve.  Every pair with |a3| <= A =
+    PAIR_SEARCH_BOUND that can pass the defect test comes, b3 with a3, from
+    an exact lattice search (_pair_candidates), complete, not sampled; each
+    is then re-examined by the FixedReal defect a3*W + c - b3 and by exact
+    integer curve membership.
 
     When W is indistinguishable from 2 the cubic degenerates to the triple
     root (W - 2)^3, every integer a3 passes the integrality test, and the
@@ -133,14 +129,11 @@ def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[in
     c = (8 - w.pow_int(3)) / (2 * w)
     found = []
     best = None  # least |defect| + radius, in units of 2^-P
-    for a3 in _pair_candidates(w, c):
-        bF = a3 * w + c
-        b3, _ = bF.nearest_int()
-        dev = bF - b3
+    for a3, b3 in _pair_candidates(w, c):
+        dev = a3 * w + c - b3
         units = abs(dev.mantissa) + dev.errbits
         best = units if best is None else min(best, units)
-        if (dev.magnitude_below(P // 4)
-                and is_on_curve(CurveId.K3, (Fraction(a3), Fraction(b3)))):
+        if dev.magnitude_below(P // 4) and is_on_curve(CurveId.K3, (a3, b3)):
             found.append((a3, b3))
     if not found:
         if best is None:
@@ -158,26 +151,34 @@ def recover_pair(ctx: ModularContext, w: Optional[FixedReal] = None) -> Tuple[in
     return found[0]
 
 
-def _pair_candidates(w: FixedReal, c: FixedReal) -> List[int]:
-    """A superset of the a with |a| <= PAIR_SEARCH_BOUND for which a*w + c
-    passes recover_pair's defect test.
+def _pair_candidates(w: FixedReal, c: FixedReal) -> List[Tuple[int, int]]:
+    """A superset of the pairs (a, b) with |a| <= PAIR_SEARCH_BOUND for
+    which a*w + c - b passes recover_pair's defect test, with b the integer
+    nearest a*w + c.
 
     In units of 2^-P, a*w + c has mantissa a*M_w + M_c and error radius
     e(a) = 2 + (|a| + 1)*w.errbits + c.errbits (FixedReal.__mul__ by an
     exact integer, then __add__), and the test passes when the distance
-    from the mantissa to the nearest multiple of 2^P plus e(a) is below
-    T = 2^(P - P//4).  A passing a therefore has
-    |a*M_w + M_c - b*2^P| <= ey = T - 1 - e(0) for some integer b, and
-    |a| <= ex, the smaller of PAIR_SEARCH_BOUND and the largest |a| with
-    (|a| + 1)*w.errbits <= T - 3 - c.errbits.
+    from the mantissa to b*2^P plus e(a) is below T = 2^(P - P//4).  A
+    passing pair therefore has |a*M_w + M_c - b*2^P| <= ey = T - 1 - e(0)
+    and |a| <= ex, the smaller of PAIR_SEARCH_BOUND and the largest |a|
+    with (|a| + 1)*w.errbits <= T - 3 - c.errbits.
 
     The low k bits of both mantissas are then dropped.  With
     M = (M >> k)*2^k + r and 0 <= r < 2^k, |a*r_w + r_c| < (|a| + 1)*2^k,
-    so a passing a also solves the truncated problem, modulo 2^(P - k),
-    within (ey >> k) + ex + 1.  Keeping P//4 + bitlen(ex) + 8 bits leaves
-    T >> k = 2^(bitlen(ex) + 8) > 256*ex, so the widening adds under 1% to
-    a band near T, while the reduction works on numbers about P/4 bits
-    long.
+    so a passing pair also solves the truncated problem, modulo 2^R with
+    R = P - k, within ey' = (ey >> k) + ex + 1.  Keeping R = P//4 +
+    bitlen(ex) + 8 bits, or all P if fewer, leaves T >> k = 2^(bitlen(ex) +
+    8) > 256*ex: the widening adds under 1% to a band near T, while the
+    reduction works on numbers about P/4 bits long.
+
+    For P >= 8 (P//4 >= 2) the band's half-width is below half its modulus,
+    so b is the integer nearest a*w + c.  If k > 0, R = P//4 + bitlen(ex) +
+    8, so ey >> k < 2^(R - 2) and 2*(ex + 1) <= 2^(R - 9), and a returned
+    pair has |a*M_w + M_c - b*2^P| < (ey' + ex + 1)*2^k < 2^(P - 1).  If
+    k = 0, it has |a*M_w + M_c - b*2^P| <= ey + ex + 1 < 2T <= 2^(P - 1),
+    as ey < T and, once w carries an error radius (schlafli_w always adds
+    one), ex + 1 < T.
     """
     P = w.prec
     T = 1 << (P - P // 4)
@@ -188,11 +189,9 @@ def _pair_candidates(w: FixedReal, c: FixedReal) -> List[int]:
     if ex < 0 or ey < 0:
         return []
     k = max(0, P - (P // 4 + ex.bit_length() + 8))
-    return [
-        a for a, _ in band_solutions(
-            w.mantissa >> k, 1 << (P - k), c.mantissa >> k, ex, (ey >> k) + ex + 1
-        )
-    ]
+    return band_solutions(
+        w.mantissa >> k, 1 << (P - k), c.mantissa >> k, ex, (ey >> k) + ex + 1
+    )
 
 
 def boosted_w(ctx: ModularContext) -> FixedReal:
@@ -287,9 +286,13 @@ def verify_tower(
     j (j_invariant's integer), its cube root gamma2 (None when j is not a
     cube) and the residuals come from one boosted W.  The report gives W,
     its only value, and the residuals at P, the report's precision, and
-    nothing else.  Raises RecoveryError when j is not integral, or not the
-    cube eq3.1 needs.
+    nothing else.  Raises RecoveryError when eq3.2 and eq3.3 need the K1
+    pair and al3be3 is None, when j is not integral, or not the cube eq3.1
+    needs.
     """
+    if ctx.d % 3 and al3be3 is None:
+        raise RecoveryError(
+            f"no K1 pair (al3, be3) for d={ctx.d}: eq3.2 and eq3.3 need it")
     P = ctx.prec
     a3, b3 = a3b3
     w = boosted_w(ctx)
@@ -310,11 +313,10 @@ def verify_tower(
         if g2 is None:
             raise RecoveryError(f"j for d={ctx.d} is not a perfect cube")
         res["eq3.1"] = _cubic_residual(v, 0, -g2, -16)
-        if al3be3 is not None:
-            al3, be3 = al3be3
-            al2, be2 = pair_k1_to_k2((Fraction(al3), Fraction(be3)))
-            res["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
-            res["eq3.2"] = _cubic_residual(s * s / 2, -2 * al2, 2 * be2, -2)
+        al3, be3 = al3be3
+        al2, be2 = pair_k1_to_k2((Fraction(al3), Fraction(be3)))
+        res["eq3.3"] = _cubic_residual(s, -2 * al3, 2 * be3, -4)
+        res["eq3.2"] = _cubic_residual(s * s / 2, -2 * al2, 2 * be2, -2)
     return TowerReport(prec=P, j=j, gamma2=g2, values={"W": w.round_to(P)},
                        residuals={k: x.round_to(P) for k, x in res.items()})
 
@@ -343,21 +345,14 @@ def weber_product_selftest(prec: int) -> FixedReal:
     return s0 * s1 * s2 - r2
 
 
-def paper_labels(d: int) -> Tuple[Tuple[int, int], Optional[Tuple[int, int]]]:
-    """The embedded (a3, b3) and (al3, be3) integer pairs for a d with
-    class number one: the integral table entries labelled d, as they stand.
-
-    Raises KeyError when K3 has no pair for d; a missing K1 pair is None."""
-    a3b3 = _table_pair(CurveId.K3, d)
-    if a3b3 is None:
-        raise KeyError(f"no embedded integer pair for d={d}")
-    return a3b3, _table_pair(CurveId.K1, d)
-
-
-def _table_pair(c: CurveId, d: int) -> Optional[Tuple[int, int]]:
-    """The coordinates of c's integral table entry labelled d, or None."""
-    return next((tuple(map(int, r.pt)) for r in paper_points(c)
-                 if r.d == d and is_integral(r.pt)), None)
+def paper_labels(d: int) -> Tuple[Optional[Tuple[int, int]], ...]:
+    """The embedded (a3, b3) and (al3, be3) integer pairs for d: the
+    integral K3 and K1 table entries labelled d, as they stand, each None
+    where its table has none.  The K1 pair has no other source; recover_pair
+    gives a3 and b3 from W alone."""
+    return tuple(next((tuple(map(int, r.pt)) for r in paper_points(c)
+                       if r.d == d and is_integral(r.pt)), None)
+                 for c in (CurveId.K3, CurveId.K1))
 
 
 CLASS_NUMBER_ONE_DS = (3, 11, 19, 43, 67, 163)

@@ -177,8 +177,13 @@ _SIEVE_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     p for p in range(67, 252) if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
+class _Table(bytes):
+    """A sieve table with its density, the share of the residues it passes."""
+    density: float
+
+
 @lru_cache(maxsize=None)
-def _table(curve: CurveId, m: int) -> bytes:
+def _table(curve: CurveId, m: int) -> _Table:
     """table[x % m] = 1 iff the fibre quartic at x has a root mod m."""
     poly = defining_poly(curve)
     table = bytearray(m)
@@ -192,23 +197,30 @@ def _table(curve: CurveId, m: int) -> bytes:
             if acc % m == 0:
                 table[x] = 1
                 break
-    return bytes(table)
+    table = _Table(table)
+    table.density = sum(table) / m
+    return table
 
 
-def _sieve(curve: CurveId, B: int) -> List[Tuple[int, bytes]]:
+def _sieve(curve: CurveId, B: int) -> Tuple[Tuple[int, bytes], ...]:
     """(m, table) for the moduli that reject some x and that a box |x| <= B
     needs, most selective first: every m <= 64, then the primes in order
     while (2B + 1) times the product of the table densities is >= 1."""
-    tables, expected = [], 2 * B + 1
+    expected, walked = 2 * B + 1, 0
     for m in _SIEVE_MODULI:
         if m > 64 and expected < 1:
             break
-        table = _table(curve, m)
-        density = sum(table) / m
-        if density < 1:
-            tables.append((density, m, table))
-            expected *= density
-    return [(m, table) for _, m, table in sorted(tables)]
+        expected *= _table(curve, m).density
+        walked += 1
+    return _plan(curve, walked)
+
+
+@lru_cache(maxsize=None)
+def _plan(curve: CurveId, walked: int) -> Tuple[Tuple[int, bytes], ...]:
+    """_sieve's selection from the first `walked` moduli: one plan per
+    number of primes added, so at most 37 per curve, whatever the bound."""
+    used = sorted((_table(curve, m).density, m) for m in _SIEVE_MODULI[:walked])
+    return tuple((m, _table(curve, m)) for density, m in used if density < 1)
 
 
 def search_integral(

@@ -13,9 +13,10 @@ import jsonschema
 import pytest
 
 import curveatlas
-from curveatlas import cli, maps, modular
+from curveatlas import cli, curves, maps, modular
 from curveatlas.cli import build_parser, main
 from curveatlas.curves import CurveId, defining_poly, is_on_curve, paper_points
+from curveatlas.fixedreal import FixedReal
 
 
 def run(capsys, *argv):
@@ -387,6 +388,26 @@ class TestCorruptTable:
         assert "search:K3:point:(7,26)" in checks
 
 
+def test_unlabelled_k1_entry_fails_the_tower(capsys, monkeypatch):
+    # d = 43's K1 entry without its label: no K1 pair, so eq3.2 and eq3.3
+    # cannot be checked, and the tower says so instead of leaving them out
+    table = [(pt, None if d == 43 else d) for pt, d in curves._K1_TABLE]
+    monkeypatch.setattr(curves, "_K1_TABLE", table)
+    curves.paper_points.cache_clear()
+    try:
+        code, out = run(capsys, "report", "--height", "40", "--box", "20",
+                        "--format", "json")
+    finally:
+        curves.paper_points.cache_clear()
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    failed = [i for i, c in checks.items() if c["status"] == "fail"]
+    assert failed == ["tower:d=43:j-cube"]
+    assert checks[failed[0]]["details"] == (
+        "no K1 pair (al3, be3) for d=43: eq3.2 and eq3.3 need it")
+    assert not any(i.startswith("tower:d=43:eq") for i in checks)
+
+
 def test_failed_recovery_carries_w(capsys):
     code, out = run(capsys, "modular", "--d", "35", "--format", "json")
     assert code == 1
@@ -640,6 +661,20 @@ class TestSearchCommand:
         with pytest.raises(SystemExit) as ei:
             main(["search", "--curve", "ks", "--bound", "0"])
         assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("mantissa, ok", [
+    (255, True), (-255, True), (256, False), (-256, False), (0, True)])
+def test_selftest_verdict_is_the_defect_below_2_to_8_units(mantissa, ok,
+                                                          monkeypatch):
+    # |defect| < 2^-(p - 8) at precision p, with the radius left out
+    monkeypatch.setattr(cli, "weber_product_selftest",
+                        lambda p: FixedReal(mantissa, p, 1 << 20))
+    report = cli.Report("selftest")
+    cli.checks_selftest(report)
+    assert [c.status for c in report.checks] == ["pass" if ok else "fail"] * 3
+    assert ok == all(abs(Fraction(mantissa, 1 << p)) < Fraction(1, 1 << (p - 8))
+                     for p in cli.SELFTEST_BITS)
 
 
 class TestReport:

@@ -4,8 +4,9 @@ import pytest
 
 from curveatlas.curves import (
     CurveId, Provenance, defining_poly, is_on_curve, is_singular_point,
-    paper_points, rational_paper_points, serialize_coord,
+    paper_points, rational_paper_points,
 )
+from curveatlas.cli import _pid, render_csv
 from curveatlas.kernel import BivarPoly, QuadRat
 
 
@@ -129,10 +130,15 @@ class TestTables:
 
 
 class TestSerialization:
+    # a coordinate prints as str() prints it, in point ids and CSV rows alike
     def test_rational_coord(self):
-        assert serialize_coord(F(22, 27)) == "22/27"
-        assert serialize_coord(F(-3)) == "-3"
+        assert _pid((F(22, 27), F(-3))) == "(22/27,-3)"
+        rows = render_csv(paper_points(CurveId.K3)).splitlines()
+        assert "K3,-9/17,6/289,paper-table," in rows
+        assert "K3,-17,150,paper-table,163" in rows
 
     def test_quadratic_coord(self):
-        s = serialize_coord(QuadRat(17, F(8), F(2)))
-        assert "sqrt(17)" in s and s.startswith("8")
+        pt = (QuadRat(17, F(-1), F(0)), QuadRat(17, F(8), F(2)))
+        assert _pid(pt) == "(-1+0*sqrt(17),8+2*sqrt(17))"
+        rows = render_csv(paper_points(CurveId.K3)).splitlines()
+        assert "K3,-1+0*sqrt(17),8+2*sqrt(17),paper-table,51" in rows

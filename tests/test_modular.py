@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveatlas import modular
-from curveatlas.fixedreal import FixedReal
+from curveatlas.fixedreal import FixedReal, IndistinguishableFromZeroError
 from curveatlas.kernel import is_squarefree
 from curveatlas.modular import (
     CLASS_NUMBER_ONE_DS, InvalidDiscriminantError, ModularContext,
@@ -162,13 +162,46 @@ class TestRecoverPair:
         passing = []
         for a in range(-bound, bound + 1):
             v = a * w + c
-            _, defect = v.nearest_int()
+            b, defect = v.nearest_int()
             if defect + v.error_radius() < threshold:
-                passing.append(a)
+                passing.append((a, b))
         with mock.patch.object(modular, "PAIR_SEARCH_BOUND", bound):
-            candidates = modular._pair_candidates(w, c)
-        assert set(passing) <= set(candidates)
-        assert all(abs(a) <= bound for a in candidates)
+            pairs = modular._pair_candidates(w, c)
+        assert set(passing) <= set(pairs)
+        assert all(abs(a) <= bound for a, _ in pairs)
+
+    @pytest.mark.parametrize("prec", [None, 48])
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS + (35,))
+    def test_pair_integers_come_from_the_lattice(self, d, prec):
+        # b3 comes whole with a3 from band_solutions: nothing rounds a3*W + c
+        ctx = ModularContext.create(d, prec=prec)
+        with mock.patch.object(FixedReal, "nearest_int",
+                               side_effect=AssertionError("nearest_int called")):
+            if d in EXPECTED_PAIRS:
+                assert recover_pair(ctx) == EXPECTED_PAIRS[d]
+            else:
+                with pytest.raises(RecoveryError, match="no pair for d=35"):
+                    recover_pair(ctx)
+
+    def test_lattice_b_is_the_nearest_integer(self):
+        # the band is narrower than half its modulus for P >= 8, so the b of
+        # every candidate pair is the integer nearest a*W + c
+        ds = [d for d in range(3, 428, 8) if is_squarefree(d)]
+        precs = range(8, 257)
+        pairs = 0
+        for d in ds:
+            for prec in precs:
+                w = schlafli_w(ModularContext.create(d, prec=prec))
+                if (w - 2).magnitude_below(prec // 4):
+                    continue  # recover_pair returns (3, 6) without a search
+                try:
+                    c = (8 - w.pow_int(3)) / (2 * w)
+                except IndistinguishableFromZeroError:
+                    continue  # recover_pair stops here too
+                for a, b in modular._pair_candidates(w, c):
+                    assert (a * w + c).nearest_int()[0] == b, (d, prec, a)
+                    pairs += 1
+        assert pairs > len(ds) * len(precs)
 
 
 def class_number(d):
@@ -298,8 +331,15 @@ class TestVerifyTower:
 
     def test_wrong_pair_fails(self):
         ctx = ModularContext.create(11)
-        rep = verify_tower(ctx, (1, 6))  # pair for d=19, not 11
+        rep = verify_tower(ctx, (1, 6), (1, 2))  # K3 pair for d=19, not 11
         assert "eq2.2" in rep.failed()
+
+    @pytest.mark.parametrize("d", [11, 19, 43, 67, 163])
+    def test_missing_k1_pair_is_an_error(self, d):
+        # eq3.2 and eq3.3 are never left out for a d that 3 does not divide
+        with pytest.raises(RecoveryError,
+                           match=rf"no K1 pair \(al3, be3\) for d={d}"):
+            verify_tower(ModularContext.create(d), EXPECTED_PAIRS[d])
 
 
 class TestSelftest:
@@ -312,8 +352,7 @@ class TestSelftest:
 def test_paper_labels():
     assert paper_labels(163) == ((-17, 150), (2, 6))
     assert paper_labels(3) == ((3, 6), (0, 0))
-    with pytest.raises(KeyError):
-        paper_labels(7)
+    assert paper_labels(7) == (None, None)
 
 
 def test_paper_labels_round_no_coordinate(set_table_entry):
@@ -321,12 +360,10 @@ def test_paper_labels_round_no_coordinate(set_table_entry):
     set_table_entry("_K1_TABLE", 11, (F(1), F(5, 2)))
     assert paper_labels(11) == ((-1, 2), None)
     set_table_entry("_K3_RATIONAL_TABLE", 67, (F(7), F(53, 2)))
-    with pytest.raises(KeyError):
-        paper_labels(67)
+    assert paper_labels(67) == (None, (-1, 2))
 
 
 def test_paper_labels_skip_quadratic_points():
     # the class-number-two fields have quadratic K3 points, no integer pair
     for d in (51, 123, 267):
-        with pytest.raises(KeyError):
-            paper_labels(d)
+        assert paper_labels(d) == (None, None)
