@@ -37,25 +37,6 @@ def integer_sqrt(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def _square_residues(m: int) -> bytes:
-    table = bytearray(m)
-    for k in range(m):
-        table[k * k % m] = 1
-    return bytes(table)
-
-
-_SQ64 = _square_residues(64)
-_SQ63 = _square_residues(63)
-_SQ65 = _square_residues(65)
-
-
-def maybe_square(n: int) -> bool:
-    """False when the nonnegative integer n is certainly not a perfect
-    square: it is not a square modulo 64, 63 or 65.  True is no proof; it
-    only means an exact test is still needed."""
-    return bool(_SQ64[n & 63] and _SQ63[n % 63] and _SQ65[n % 65])
-
-
 def integer_root(n: int, k: int) -> int:
     """Floor of the real k-th root of a nonnegative integer n (k >= 1)."""
     if n < 0 or k < 1:
@@ -100,7 +81,9 @@ def integer_roots(coeffs: Mapping[int, int]) -> list[int]:
     and integer bisection on a sign change pins it between consecutive
     integers; the integer roots are then the bracket endpoints k with
     f(k) == 0.  By Gauss-Lucas the roots of every derivative also lie
-    within R, so one bound serves the whole recursion.
+    within R, so one bound serves the whole recursion.  The linear and
+    quadratic levels need no bisection: their roots are bracketed in closed
+    form, with ``isqrt`` of the discriminant.
     """
     coeffs = {j: c for j, c in coeffs.items() if c != 0}
     if not coeffs:
@@ -139,10 +122,24 @@ def _eval_int(low_to_high: list, x: int) -> int:
 
 def _root_brackets(low_to_high: list, bound: int) -> dict:
     """{k: f(k)} for a set of integers k in [-bound, bound] that includes
-    floor(r) and ceil(r) of every real root r of the polynomial f, all of
-    whose roots lie within bound.  f is evaluated once per point."""
-    if len(low_to_high) == 1:
-        return dict.fromkeys((-bound, bound), low_to_high[0])
+    -bound, bound, and floor(r) and ceil(r) of every real root r of the
+    polynomial f, all of whose roots lie within bound.  f is evaluated once
+    per point.  Up to degree 2 the roots are bracketed in closed form."""
+    if len(low_to_high) <= 3:
+        points = {-bound, bound}
+        c = low_to_high if low_to_high[-1] > 0 else [-a for a in low_to_high]
+        if len(c) == 2:
+            points.update(_floor_ceil(-c[0], c[1]))
+        elif len(c) == 3 and (disc := c[1] * c[1] - 4 * c[2] * c[0]) >= 0:
+            r = isqrt(disc)
+            if r * r == disc:
+                points.update(_floor_ceil(-c[1] - r, 2 * c[2]))
+                points.update(_floor_ceil(-c[1] + r, 2 * c[2]))
+            else:
+                # sqrt(disc) is irrational and lies in (r, r + 1)
+                for low in ((-c[1] - r - 1) // (2 * c[2]), (-c[1] + r) // (2 * c[2])):
+                    points.update((low, low + 1))
+        return {k: _eval_int(low_to_high, k) for k in points}
     derivative = [j * c for j, c in enumerate(low_to_high)][1:]
     points = sorted(_root_brackets(derivative, bound))
     out = {k: _eval_int(low_to_high, k) for k in points}
@@ -161,6 +158,11 @@ def _root_brackets(low_to_high: list, bound: int) -> dict:
                 hi, fhi = mid, fm
         out[lo], out[hi] = flo, fhi
     return out
+
+
+def _floor_ceil(num: int, den: int) -> tuple:
+    """floor and ceil of num / den, for den >= 1."""
+    return num // den, -(-num // den)
 
 
 def band_solutions(m: int, q: int, c: int, ex: int, ey: int) -> list[tuple[int, int]]:

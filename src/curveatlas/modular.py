@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
 from .curves import CurveId, is_integral, is_on_curve, paper_points
-from .fixedreal import FixedReal
+from .fixedreal import FixedReal, _rshift_round
 from .kernel import band_solutions, integer_root, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
 
@@ -215,7 +215,7 @@ def _j_and_u(ctx: ModularContext, w: FixedReal) -> Tuple[int, FixedReal]:
     """From the boosted W: j_invariant's integer and the U = W^8/16 behind it."""
     u = w.pow_int(8) / 16
     jF = (u.pow_int(3) - 48 * u.pow_int(2) + 768 * u - 4096) / u
-    n, _ = jF.nearest_int()
+    n = _rshift_round(jF.mantissa, jF.prec)
     dev = jF - n
     if not dev.magnitude_below(ctx.prec // 4):
         raise RecoveryError(

@@ -15,11 +15,27 @@ p^4 = q^4 = 1 and 4pq(p^2 + q^2) = 8 (mod 16), so e = 1 + 8 - 2 + 1 = 8
 {2|p|, |e|, q} (p even), {|p|, |e|, 2q} (q even) or {|p|, 2|e|, q} (both
 odd), and each must be a square.  So the scan visits only p = +-2s^2
 with q an odd square, p = +- an odd square with q = 2t^2, and both odd
-squares (Theta(H) pairs), plus z = 0.  The sign test p e > 0 and a
-mod-64/63/65 prefilter act on the one factor left open, |e| or 2|e|; a
-survivor gets the exact test ``rational_sqrt`` on n, and w = sqrt(n)/q^3.
-``scanned`` counts the reduced p/q the lemma covers, 4 Phi(H) - 1, with
-Phi(H) = phi(1) + ... + phi(H) from n(n+1)/2 = sum_{d>=1} Phi(n // d).
+squares (Theta(H) pairs), plus z = 0.  Each pair is p = sign*cp*s^2,
+q = cq*t^2 in one of the classes (cp, cq, k) = (2, 1, 1), (1, 2, 1),
+(1, 1, 2), with s odd where cp = 1 and t odd where cq = 1, and the factor
+left open, k|e| = k*sign*e, must be a perfect square.
+
+Residue sieve: so k*sign*e is a square mod every m, and e mod m depends on
+s and t mod m only.  A table per (class, sign, m) stores row s % m as an
+m-bit int whose bit t % m says whether k*sign*e is a square mod m; for
+each s the scan ANDs one row per modulus, each repeated across the t range
+by one repunit multiply, and walks only the t that survive.  The moduli are
+4 (it rejects both classes with one of p, q even when p < 0: there
+|e| = 3 mod 4), then the odd primes in order while (pairs in the class)
+times the product of the table densities is >= 1; the tables are built
+once per process, on first use.  On the survivors, gcd(s, t) = 1, the sign
+test p e > 0 and the exact test ``rational_sqrt`` on n decide, and
+w = sqrt(n)/q^3.  At H = 200, 400, 10^4 and 10^6 only 4 pairs reach the
+exact test, exactly the z = +-1, 1/2 and 2 of the rational points (the
+mod-64/63/65 prefilter on k|e| that the sieve replaced sent 90, 194, 4516
+and 458192).  ``scanned`` counts the reduced p/q the lemma covers,
+4 Phi(H) - 1, with Phi(H) = phi(1) + ... + phi(H) from
+n(n+1)/2 = sum_{d>=1} Phi(n // d).
 
 Integral search: for each integer x in [-B, B] the curve polynomial
 specializes to a monic (in y) integer quartic whose integer roots are
@@ -55,7 +71,7 @@ from typing import List, Tuple
 
 from .curves import (CurveId, PointRecord, Provenance, defining_poly,
                      is_integral, is_on_curve)
-from .kernel import integer_roots, maybe_square, rational_sqrt
+from .kernel import integer_roots, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,43 @@ def _result(spec: SearchSpec, start: float, points: list, scanned: int,
                         candidates)
 
 
+# -- residue sieves ----------------------------------------------------------
+
+# the odd primes up to 251: a cap that no bound <= 10^6 reaches, so a
+# sieve's walk ends whatever the table densities
+_PRIMES = tuple(p for p in range(3, 252, 2)
+                if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+# integral boxes: the prime powers m <= 64 that divide no other (a root mod
+# m is also one mod every divisor of m, so the divisors would reject
+# nothing more), then the primes from 67 (K1 stops at 181 at 10^6)
+_SIEVE_MODULI = (64, 27, 25, 49) + _PRIMES[_PRIMES.index(11):]
+# KS: 4 (it rejects every pair of the classes with one of p, q even and
+# p < 0, where |e| = 3 mod 4), then the odd primes
+_KS_MODULI = (4,) + _PRIMES
+
+
+def _walk(table, key, moduli: tuple, expected: float, always: int) -> tuple:
+    """(m, table(key, m)) for the moduli a sieve needs that reject
+    something, most selective first: the first `always` of `moduli`, then
+    more in order while `expected` times the product of the table densities
+    is >= 1."""
+    walked = 0
+    for m in moduli:
+        if walked >= always and expected < 1:
+            break
+        expected *= table(key, m).density
+        walked += 1
+    return _plan(table, key, moduli[:walked])
+
+
+@lru_cache(maxsize=None)
+def _plan(table, key, moduli: tuple) -> tuple:
+    """_walk's selection from the walked moduli: one plan per number walked,
+    so at most len(moduli) per key, whatever the bound."""
+    used = sorted((table(key, m).density, m) for m in moduli)
+    return tuple((m, table(key, m)) for density, m in used if density < 1)
+
+
 # -- KS rational-height search ----------------------------------------------
 
 
@@ -134,48 +187,104 @@ def _totient_sum(n: int) -> int:
     return phi_sum(n)
 
 
+def _ks_e(p: int, q: int) -> int:
+    """e = p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4, by Horner in q."""
+    return (((q + 4 * p) * q - 2 * p * p) * q + 4 * p**3) * q + p**4
+
+
+# the three classes (cp, cq, k) of the lemma: p = +-cp s^2, q = cq t^2, and
+# k|e| must be a square; s is odd where cp = 1, t where cq = 1
+_KS_CLASSES = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+
+
+class _KsTable(tuple):
+    """A KS sieve table, row s % m an m-bit int, with its density: the
+    share of the class's residue pairs (s, t) mod m it passes."""
+    density: float
+
+
+@lru_cache(maxsize=None)
+def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _KsTable:
+    """Bit t % m of row s % m is set iff k*sign*e(sign*cp*s^2, cq*t^2) is a
+    square mod m, for key = ((cp, cq, k), sign).  A row depends on s^2 mod m
+    only.  e is homogeneous of degree 4, so for a unit x = s^2 mod m,
+    e(sign*cp*x, cq*y) = x^4 e(sign*cp, cq*y/x) with x^4 a unit square:
+    there only y/x matters, and e is evaluated once per ratio."""
+    (cp, cq, k), sign = key
+    squares = sorted({r * r % m for r in range(m)})
+    is_square = bytearray(m)
+    for y in squares:
+        is_square[y] = 1
+    by_ratio = [is_square[k * sign * _ks_e(sign * cp, cq * u) % m] for u in range(m)]
+    row_of = {}
+    for x in squares:
+        if gcd(x, m) == 1:
+            inv = pow(x, -1, m)
+            row_of[x] = sum(1 << t for t in range(m) if by_ratio[t * t * inv % m])
+        else:
+            row_of[x] = sum(1 << t for t in range(m) if is_square[
+                k * sign * _ks_e(sign * cp * x, cq * t * t) % m])
+    table = _KsTable(row_of[s * s % m] for s in range(m))
+    # the class makes s odd where cp = 1 and t odd where cq = 1, which an
+    # even m sees: count only those residues
+    s_odd, t_odd = m % 2 == 0 and cp == 1, m % 2 == 0 and cq == 1
+    s_res, t_res = range(s_odd, m, 1 + s_odd), range(t_odd, m, 1 + t_odd)
+    t_mask = sum(1 << t for t in t_res)
+    passed = sum((table[s] & t_mask).bit_count() for s in s_res)
+    table.density = passed / (len(s_res) * len(t_res))
+    return table
+
+
 def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     """All affine rational points (z, w) on KS with height(z) <= H.
 
-    Complete within the bound by the lemma in the module docstring; w is
-    determined up to sign by the exact square test.
+    Complete within the bound by the lemma in the module docstring and the
+    sieve's necessary condition; w is determined up to sign by the exact
+    square test.
     """
     spec = _spec(CurveId.KS, H, partitions, jobs)
     start = time.monotonic()
-    odd = [s * s for s in range(1, isqrt(H) + 1, 2)]
-    twice = [2 * t * t for t in range(1, isqrt(H // 2) + 1)]
-    # (q, k) for even and odd |p|: k|e| is the factor of n left to test
-    q_for = ([(q, 1) for q in odd], [(q, 1) for q in twice] + [(q, 2) for q in odd])
     hits = [(Fraction(0), Fraction(0))]  # z = 0: f(0) = 0
     candidates = 0
-    for a in twice + odd:
-        qs = [(q, k) for q, k in q_for[a & 1] if gcd(a, q) == 1]
-        for p in (a, -a):
-            # e = p^4 + 4p^3 q - 2p^2 q^2 + 4p q^3 + q^4, by Horner in q
-            c3, c2, c1, c0 = 4 * p, 2 * p * p, 4 * p**3, p**4
-            for q, k in qs:
-                e = (((q + c3) * q - c2) * q + c1) * q + c0
-                if p * e <= 0 or not maybe_square(k * abs(e)):
+    for cls in _KS_CLASSES:
+        cp, cq, k = cls
+        s_all = range(1, isqrt(H // cp) + 1, 1 + (cp == 1))
+        t_all = range(1, isqrt(H // cq) + 1, 1 + (cq == 1))
+        t_bits, pairs = t_all.stop, len(s_all) * len(t_all)
+        if not pairs:
+            continue
+        t_mask = sum(1 << t for t in t_all)
+        for sign in (1, -1):
+            # each row repeated to t_bits bits by one repunit multiply
+            plan = [(m, rows, ((1 << m * -(-t_bits // m)) - 1) // ((1 << m) - 1))
+                    for m, rows in _walk(_ks_table, (cls, sign), _KS_MODULI, pairs, 0)]
+            for s in s_all:
+                mask = t_mask
+                for m, rows, repunit in plan:
+                    mask &= rows[s % m] * repunit
+                if not mask:
                     continue
-                candidates += 1
-                r = rational_sqrt(2 * p * e * q)
-                if r is not None:
-                    z, w = Fraction(p, q), r / q**3
-                    hits += [(z, w), (z, -w)]
+                p = sign * cp * s * s
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    t = low.bit_length() - 1
+                    if gcd(s, t) != 1:
+                        continue
+                    q = cq * t * t
+                    e = _ks_e(p, q)
+                    if p * e <= 0:
+                        continue
+                    candidates += 1
+                    r = rational_sqrt(2 * p * e * q)
+                    if r is not None:
+                        z, w = Fraction(p, q), r / q**3
+                        hits += [(z, w), (z, -w)]
     return _result(spec, start, sorted(set(hits)), 4 * _totient_sum(H) - 1,
                    candidates)
 
 
 # -- integral box search -----------------------------------------------------
-
-# the prime powers m <= 64 that divide no other (a root mod m is also one
-# mod every divisor of m, so the divisors would reject nothing more), then
-# the primes from 67 to 251: a cap that no bound <= 10^6 reaches (K1 stops
-# at 181 there), so the walk ends whatever the table densities
-_SIEVE_MODULI = (64, 27, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                 53, 59, 61) + tuple(
-    p for p in range(67, 252) if all(p % q for q in range(2, isqrt(p) + 1)))
-
 
 class _Table(bytes):
     """A sieve table with its density, the share of the residues it passes."""
@@ -206,21 +315,7 @@ def _sieve(curve: CurveId, B: int) -> Tuple[Tuple[int, bytes], ...]:
     """(m, table) for the moduli that reject some x and that a box |x| <= B
     needs, most selective first: every m <= 64, then the primes in order
     while (2B + 1) times the product of the table densities is >= 1."""
-    expected, walked = 2 * B + 1, 0
-    for m in _SIEVE_MODULI:
-        if m > 64 and expected < 1:
-            break
-        expected *= _table(curve, m).density
-        walked += 1
-    return _plan(curve, walked)
-
-
-@lru_cache(maxsize=None)
-def _plan(curve: CurveId, walked: int) -> Tuple[Tuple[int, bytes], ...]:
-    """_sieve's selection from the first `walked` moduli: one plan per
-    number of primes added, so at most 37 per curve, whatever the bound."""
-    used = sorted((_table(curve, m).density, m) for m in _SIEVE_MODULI[:walked])
-    return tuple((m, _table(curve, m)) for density, m in used if density < 1)
+    return _walk(_table, curve, _SIEVE_MODULI, 2 * B + 1, _SIEVE_MODULI.index(67))
 
 
 def search_integral(

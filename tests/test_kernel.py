@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from curveatlas.curves import CurveId, defining_poly
 from curveatlas.kernel import (
     BivarPoly, MixedRadicandError, QuadRat, band_solutions, integer_root,
-    integer_roots, integer_sqrt, is_squarefree, maybe_square, rational_sqrt,
+    _root_brackets, integer_roots, integer_sqrt, is_squarefree, rational_sqrt,
 )
 
 
@@ -77,15 +77,6 @@ def test_integer_cbrt():
     big = 640320**3
     assert integer_root(big, 3) == 640320
     assert integer_root(big - 1, 3) == 640319
-
-
-def test_maybe_square_never_rejects_a_square():
-    rng = random.Random(63)
-    roots = list(range(5000)) + [rng.randint(0, 10**30) for _ in range(2000)]
-    assert all(maybe_square(r * r) for r in roots)
-    non_squares = [n for n in range(10**5) if integer_sqrt(n) is None]
-    rejected = sum(not maybe_square(n) for n in non_squares)
-    assert rejected > 0.95 * len(non_squares)
 
 
 def test_integer_root():
@@ -160,11 +151,72 @@ class TestIntegerRoots:
         assert integer_roots({0: -3, 1: 2}) == []          # non-monic, root 3/2
         assert integer_roots({0: -6, 1: 3}) == [2]         # non-monic
 
+    def test_low_degree_special_cases(self):
+        assert integer_roots({0: -9, 1: 6, 2: -1}) == [3]        # -(y - 3)^2
+        assert integer_roots({0: 4, 1: -4, 2: 1}) == [2]         # double root
+        assert integer_roots({0: -3, 1: 7, 2: -2}) == [3]        # -(2y - 1)(y - 3)
+        assert integer_roots({0: 3, 1: -5, 2: 2}) == [1]         # roots 1 and 3/2
+        assert integer_roots({0: -1, 1: 1, 2: 1}) == []          # disc 5
+        assert integer_roots({0: 1, 1: 1, 2: 1}) == []           # disc < 0
+        assert integer_roots({0: 7, 1: -1}) == [7]               # -(y - 7)
+        assert integer_roots({0: -2, 1: 1}) == [2]               # root at +bound
+        assert integer_roots({0: 2, 1: 1}) == [-2]               # root at -bound
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             integer_roots({})
         with pytest.raises(ValueError):
             integer_roots({3: 0})
+
+
+def real_root_floors_and_ceils(low_to_high):
+    """{floor(r), ceil(r)} over the real roots r, by sympy."""
+    poly = sympy.Poly(list(reversed(low_to_high)), _Y)
+    out = set()
+    for r in poly.real_roots():
+        out |= {int(sympy.floor(r)), int(sympy.ceiling(r))}
+    return out
+
+
+def low_degree_cases():
+    """(low_to_high, bound) of degree 0 to 2 with double roots, perfect-square
+    and non-square discriminants, negative leading coefficients and roots
+    at +-bound."""
+    cases = [([5], 3), ([-7], 1), ([-6, 3], 2), ([6, -3], 2), ([3, 2], 2),
+             ([-3, -2], 2), ([-4, 1], 4), ([4, 1], 4), ([-4, 0, 1], 2),
+             ([4, 0, -1], 2), ([16, -8, 1], 4), ([-16, 8, -1], 4),
+             ([9, 6, 1], 3), ([-3, 1, 2], 2), ([3, -5, 2], 2), ([-2, 0, 1], 2),
+             ([2, 0, -1], 2), ([-1, -1, 1], 2), ([1, 1, -1], 2), ([1, 1, 1], 2),
+             ([-3, 0, 1], 2), ([-10, 0, 1], 4), ([-5, 0, 1], 3)]
+    rng = random.Random(24)
+    for _ in range(400):
+        degree = rng.randint(1, 2)
+        lead = rng.choice([-1, 1]) * rng.randint(1, 40)
+        if rng.random() < 0.5:  # planted rational roots, maybe repeated
+            roots = [F(rng.randint(-60, 60), rng.randint(1, 4))
+                     for _ in range(degree)]
+            if degree == 2 and rng.random() < 0.3:
+                roots[1] = roots[0]
+            poly = sympy.Poly(lead, _Y)
+            for r in roots:
+                poly *= sympy.Poly(r.denominator * _Y - r.numerator, _Y)
+            coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        else:
+            coeffs = [rng.randint(-10**4, 10**4) for _ in range(degree)] + [lead]
+        roots = sympy.Poly(list(reversed(coeffs)), _Y).all_roots()
+        bound = max([1] + [int(sympy.ceiling(sympy.Abs(r))) for r in roots])
+        cases.append((coeffs, bound))
+    return cases
+
+
+def test_low_degree_brackets_are_closed_form():
+    # degrees 0-2 are bracketed with no bisection: the points are exactly
+    # +-bound and the floor and ceil of each real root, each with f(k)
+    for low_to_high, bound in low_degree_cases():
+        got = _root_brackets(low_to_high, bound)
+        assert set(got) == {-bound, bound} | real_root_floors_and_ceils(low_to_high)
+        for k, fk in got.items():
+            assert fk == sum(c * k**j for j, c in enumerate(low_to_high))
 
 
 quad_elems = st.builds(

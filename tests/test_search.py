@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -186,6 +186,169 @@ PRE_CLASS_PAIR_CANDIDATES = {100: 63, 300: 223, 400: 291, 500: 331}
 @pytest.mark.parametrize("H", sorted(PRE_CLASS_PAIR_CANDIDATES))
 def test_ks_candidates_not_above_pre_class_pair_scan(H):
     assert 0 < search_ks(H).candidates <= PRE_CLASS_PAIR_CANDIDATES[H]
+
+
+# -- the KS residue sieve -----------------------------------------------------
+
+KS_KEYS = [(cls, sign) for cls in search._KS_CLASSES for sign in (1, -1)]
+
+
+def ks_e(p, q):
+    return p**4 + 4 * p**3 * q - 2 * p**2 * q**2 + 4 * p * q**3 + q**4
+
+
+def ks_residue_test(key, m, s, t):
+    """k*sign*e(sign*cp*s^2, cq*t^2) is a square mod m, by trying every r."""
+    (cp, cq, k), sign = key
+    n = k * sign * ks_e(sign * cp * s * s, cq * t * t) % m
+    return any(r * r % m == n for r in range(m))
+
+
+def ks_pairs(key, H):
+    """How many (s, t) of the key's class search_ks(H) scans."""
+    (cp, cq, _), _ = key
+    return (len(range(1, isqrt(H // cp) + 1, 1 + (cp == 1)))
+            * len(range(1, isqrt(H // cq) + 1, 1 + (cq == 1))))
+
+
+def ks_walked(H):
+    """{key: the moduli search_ks(H) walks}, by the stop rule in exact
+    arithmetic."""
+    out = {}
+    for key in KS_KEYS:
+        expected, walked = F(ks_pairs(key, H)), []
+        for m in search._KS_MODULI:
+            if expected < 1:
+                break
+            expected *= F(search._ks_table(key, m).density).limit_denominator(m * m)
+            walked.append(m)
+        out[key] = walked
+    return out
+
+
+@pytest.mark.parametrize("key", KS_KEYS, ids=str)
+def test_ks_table_bits_equal_the_residue_test(key):
+    # every modulus the largest bound walks, every residue pair, and the
+    # density over the residue pairs of the class's parity
+    (cp, cq, _), _ = key
+    for m in ks_walked(BOUND_MAX)[key]:
+        table = search._ks_table(key, m)
+        assert len(table) == m and all(0 <= row < 1 << m for row in table)
+        passed = total = 0
+        for s in range(m):
+            for t in range(m):
+                assert (table[s] >> t & 1) == ks_residue_test(key, m, s, t), (m, s, t)
+                if m % 2 == 0 and ((cp == 1 and not s % 2) or (cq == 1 and not t % 2)):
+                    continue
+                total += 1
+                passed += table[s] >> t & 1
+        assert table.density == passed / total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KS_KEYS), st.integers(1, 10**9), st.integers(1, 10**9),
+       st.sampled_from(search._KS_MODULI[:30]))
+def test_ks_table_reads_the_residues_of_any_pair(key, s, t, m):
+    # e mod m depends on s and t mod m only, so a pair whose k|e| is a
+    # perfect square (a square mod every m) is never rejected
+    table = search._ks_table(key, m)
+    assert (table[s % m] >> (t % m) & 1) == ks_residue_test(key, m, s, t)
+
+
+# (key, s, t) of each affine KS table point with p != 0
+KS_POINT_PAIRS = {F(2): (((2, 1, 1), 1), 1, 1), F(1, 2): (((1, 2, 1), 1), 1, 1),
+                  F(1): (((1, 1, 2), 1), 1, 1), F(-1): (((1, 1, 2), -1), 1, 1)}
+
+
+def test_ks_tables_pass_the_table_points():
+    assert {pt[0] for pt in KS_POINTS} == set(KS_POINT_PAIRS) | {0}
+    for z, (key, s, t) in KS_POINT_PAIRS.items():
+        (cp, cq, k), sign = key
+        assert F(sign * cp * s * s, cq * t * t) == z
+        for m in search._KS_MODULI:
+            assert search._ks_table(key, m)[s % m] >> (t % m) & 1
+
+
+@pytest.mark.parametrize("H", list(range(1, 41)) + [200, 1000])
+def test_ks_scan_visits_exactly_the_class_pairs(monkeypatch, H):
+    # with no table, every pair of the scan reaches the gcd and sign tests:
+    # then candidates counts the reduced p/q whose |p| and q are each an odd
+    # square or twice a square, with p e > 0
+    monkeypatch.setattr(search, "_walk", lambda *args: ())
+    allowed = ({s * s for s in range(1, isqrt(H) + 1, 2)}
+               | {2 * t * t for t in range(1, isqrt(H // 2) + 1)})
+    expected = sum(1 for a in allowed for q in allowed for p in (a, -a)
+                   if gcd(a, q) == 1 and p * ks_e(p, q) > 0)
+    assert search_ks(H).candidates == expected
+
+
+def square_mod(m):
+    table = bytearray(m)
+    for r in range(m):
+        table[r * r % m] = 1
+    return table
+
+
+_SQ64, _SQ63, _SQ65 = square_mod(64), square_mod(63), square_mod(65)
+
+
+def class_pair_scan(H):
+    """search_ks before the residue sieve: the lemma's class pairs, the sign
+    test and a mod-64/63/65 prefilter on k|e|, then the exact test.
+    (points, scanned, candidates)."""
+    odd = [s * s for s in range(1, isqrt(H) + 1, 2)]
+    twice = [2 * t * t for t in range(1, isqrt(H // 2) + 1)]
+    q_for = ([(q, 1) for q in odd], [(q, 1) for q in twice] + [(q, 2) for q in odd])
+    hits = [(F(0), F(0))]
+    candidates = 0
+    for a in twice + odd:
+        qs = [(q, k) for q, k in q_for[a & 1] if gcd(a, q) == 1]
+        for p in (a, -a):
+            for q, k in qs:
+                e = ks_e(p, q)
+                n = k * abs(e)
+                if p * e <= 0 or not (_SQ64[n % 64] and _SQ63[n % 63]
+                                      and _SQ65[n % 65]):
+                    continue
+                candidates += 1
+                r = rational_sqrt(F(2 * p * e * q))
+                if r is not None:
+                    hits += [(F(p, q), r / q**3), (F(p, q), -r / q**3)]
+    return sorted(set(hits)), 4 * totient_sieve_sums(H)[H] - 1, candidates
+
+
+@pytest.mark.parametrize("H", [10**3, 10**4, 10**5])
+def test_ks_sieve_matches_the_class_pair_scan(H):
+    points, scanned, candidates = class_pair_scan(H)
+    res = search_ks(H)
+    assert res.points() == points
+    assert res.scanned == scanned
+    assert len(points) // 2 <= res.candidates <= candidates
+
+
+@pytest.mark.parametrize("H", [1, 2, 200, 400, 10**4, BOUND_MAX])
+def test_ks_sieve_meets_the_stop_rule(H):
+    # the moduli in order until (pairs in the class) * (product of the
+    # densities) < 1, the cap unreached; the plan keeps those that reject
+    # something, most selective first
+    for key, walked in ks_walked(H).items():
+        pairs = ks_pairs(key, H)
+        assert bool(walked) == (pairs > 0)
+        assert search._KS_MODULI[-1] not in walked
+        plan = search._walk(search._ks_table, key, search._KS_MODULI, pairs, 0)
+        assert sorted(m for m, _ in plan) == sorted(
+            m for m in walked if search._ks_table(key, m).density < 1)
+        densities = [t.density for _, t in plan]
+        assert densities == sorted(densities)
+
+
+def test_ks_sieve_rules_out_negative_p_with_one_even():
+    # |e| = 3 mod 4 when exactly one of p, q is even and p < 0: the mod-4
+    # table alone rejects both such classes, whatever the bound
+    for cls in ((2, 1, 1), (1, 2, 1)):
+        assert search._ks_table((cls, -1), 4).density == 0
+        assert search._walk(search._ks_table, (cls, -1), search._KS_MODULI,
+                            BOUND_MAX, 0)[0][0] == 4
 
 
 class TestIntegralSearch:
@@ -395,15 +558,16 @@ def test_each_table_is_built_once():
 
 def test_search_tables_not_built_at_import():
     # the sieve tables take about 5 ms per curve to build at small bounds
-    # and about 50 ms at BOUND_MAX; start-up must not pay for them
+    # and about 50 ms at BOUND_MAX (the KS tables about 3 ms at H = 200 and
+    # 40 ms at BOUND_MAX); start-up must not pay for them
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import curveatlas.cli, curveatlas.search as s; "
-            "print(s._table.cache_info().currsize)")
+            "print(s._table.cache_info().currsize, s._ks_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 class TestReconcile:
