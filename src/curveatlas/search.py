@@ -206,24 +206,15 @@ class _KsTable(tuple):
 @lru_cache(maxsize=None)
 def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _KsTable:
     """Bit t % m of row s % m is set iff k*sign*e(sign*cp*s^2, cq*t^2) is a
-    square mod m, for key = ((cp, cq, k), sign).  A row depends on s^2 mod m
-    only.  e is homogeneous of degree 4, so for a unit x = s^2 mod m,
-    e(sign*cp*x, cq*y) = x^4 e(sign*cp, cq*y/x) with x^4 a unit square:
-    there only y/x matters, and e is evaluated once per ratio."""
+    square mod m, for key = ((cp, cq, k), sign).  e is evaluated once per
+    pair of squares (s^2, t^2) mod m."""
     (cp, cq, k), sign = key
-    squares = sorted({r * r % m for r in range(m)})
-    is_square = bytearray(m)
-    for y in squares:
-        is_square[y] = 1
-    by_ratio = [is_square[k * sign * _ks_e(sign * cp, cq * u) % m] for u in range(m)]
-    row_of = {}
-    for x in squares:
-        if gcd(x, m) == 1:
-            inv = pow(x, -1, m)
-            row_of[x] = sum(1 << t for t in range(m) if by_ratio[t * t * inv % m])
-        else:
-            row_of[x] = sum(1 << t for t in range(m) if is_square[
-                k * sign * _ks_e(sign * cp * x, cq * t * t) % m])
+    roots = {}  # y -> the t mod m with t^2 = y mod m, as a bit mask
+    for t in range(m):
+        roots[t * t % m] = roots.get(t * t % m, 0) | 1 << t
+    row_of = {x: sum(ts for y, ts in roots.items()
+                     if k * sign * _ks_e(sign * cp * x, cq * y) % m in roots)
+              for x in roots}
     table = _KsTable(row_of[s * s % m] for s in range(m))
     # the class makes s odd where cp = 1 and t odd where cq = 1, which an
     # even m sees: count only those residues

@@ -558,8 +558,8 @@ def test_each_table_is_built_once():
 
 def test_search_tables_not_built_at_import():
     # the sieve tables take about 5 ms per curve to build at small bounds
-    # and about 50 ms at BOUND_MAX (the KS tables about 3 ms at H = 200 and
-    # 40 ms at BOUND_MAX); start-up must not pay for them
+    # and about 50 ms at BOUND_MAX (the KS tables about 2 ms at H = 200 and
+    # 20 ms at BOUND_MAX); start-up must not pay for them
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
