@@ -375,9 +375,9 @@ engine's squarefree test or its float precision formula sees the d."""
 
 BOUND_MAX = 10**6
 """Largest search size (search --bound, report --height, --box).  At it the
-KS scan takes about 0.2 s and 18 MB, and the K1 and K3 boxes about 0.25 s
-each, as fresh `search` commands (one core of a 2-core Xeon); the searches
-take time about linear in the bound, and the KS scan sqrt(H) memory."""
+KS scan takes about 0.15 s and 17 MB, and the K1 and K3 boxes about 0.23 s
+and 18 MB each, as fresh `search` commands (one core of a 2-core Xeon); time
+is about linear in the bound, and the KS scan's memory grows as sqrt(H)."""
 
 
 def _bounded_int(lo: Optional[int], hi: Optional[int] = None):

@@ -13,27 +13,32 @@ Lemma: if n is a square, then |p| and q are each a square or twice a square
 p^4 = q^4 = 1 and 4pq(p^2 + q^2) = 8 (mod 16), so e = 1 + 8 - 2 + 1 = 8
 (mod 16): v2(e) = 3.  Hence n > 0 splits into pairwise coprime factors
 {2|p|, |e|, q} (p even), {|p|, |e|, 2q} (q even) or {|p|, 2|e|, q} (both
-odd), and each must be a square.  So the scan visits only p = +-2s^2
-with q an odd square, p = +- an odd square with q = 2t^2, and both odd
-squares (Theta(H) pairs), plus z = 0.  Each pair is p = sign*cp*s^2,
+odd), and each must be a square.  So z = 0 or p = sign*cp*s^2,
 q = cq*t^2 in one of the classes (cp, cq, k) = (2, 1, 1), (1, 2, 1),
 (1, 1, 2), with s odd where cp = 1 and t odd where cq = 1, and the factor
-left open, k|e| = k*sign*e, must be a perfect square.
+left open, k|e| = k*sign*e, a perfect square.
 
-Residue sieve: so k*sign*e is a square mod every m, and e mod m depends on
+Involution: e is palindromic, e(1/z) = e(z)/z^4, so f(1/z) =
+(2/z) e(z)/z^4 = f(z)/z^6 and sigma(z, w) = (1/z, w/z^3) maps KS to itself.
+sigma is its own inverse and keeps the height, and it maps the reduced
+pairs of the class (2, 1, 1) one-to-one onto those of (1, 2, 1), s and t
+swapped, and (1, 1, 2) onto itself.  So the scan visits only (2, 1, 1) and
+(1, 1, 2), Theta(H) pairs, and adds z = 0 and sigma of each hit.
+
+Residue sieve: k*sign*e is a square mod every m, and e mod m depends on
 s and t mod m only.  A table per (class, sign, m) stores row s % m as an
 m-bit int whose bit t % m says whether k*sign*e is a square mod m; for
 each s the scan ANDs one row per modulus, each repeated across the t range
-by one repunit multiply, and walks only the t that survive.  The moduli are
-4 (it rejects both classes with one of p, q even when p < 0: there
-|e| = 3 mod 4), then the odd primes in order while (pairs in the class)
-times the product of the table densities is >= 1; the tables are built
-once per process, on first use.  On the survivors, gcd(s, t) = 1, the sign
-test p e > 0 and the exact test ``rational_sqrt`` on n decide, and
-w = sqrt(n)/q^3.  At H = 200, 400, 10^4 and 10^6 only 4 pairs reach the
-exact test, exactly the z = +-1, 1/2 and 2 of the rational points (the
-mod-64/63/65 prefilter on k|e| that the sieve replaced sent 90, 194, 4516
-and 458192).  ``scanned`` counts the reduced p/q the lemma covers,
+by one repunit multiply, and walks only the set bits.  The moduli are
+4 (it rejects the class (2, 1, 1) when p < 0: there |e| = 3 mod 4), then
+the odd primes in order while (pairs in the class) times the product of
+the table densities is >= 1; the tables are built once per process, on
+first use.  On the survivors, gcd(s, t) = 1, the sign test p e > 0 and the
+exact test ``rational_sqrt`` on n decide, and w = sqrt(n)/q^3.  At H = 200,
+400, 10^4 and 10^6 only 3 pairs reach the exact test, the z = 2, 1 and -1
+of the rational points (4 with the class (1, 2, 1) scanned too; 90, 194,
+4516 and 458192 with the mod-64/63/65 prefilter on k|e| that the sieve
+replaced).  ``scanned`` counts the reduced p/q the lemma covers,
 4 Phi(H) - 1, with Phi(H) = phi(1) + ... + phi(H) from
 n(n+1)/2 = sum_{d>=1} Phi(n // d).
 
@@ -42,16 +47,17 @@ specializes to a monic (in y) integer quartic whose integer roots are
 extracted exactly by ``integer_roots``: the real roots of the derivatives
 bracket the quartic into monotone pieces, and integer bisection inside each
 piece, within an integer Fujiwara bound, pins every root.  A local
-solubility sieve runs first: a table per modulus m, built once per curve
-and m, records which x mod m give a quartic with a root mod m, and only
-the moduli that reject some residue are used.  An integer root is a root
-mod every m, so an x that some table rejects has no integral point.  The
-sieve is sized to the bound B: every prime power m <= 64, then the primes
-67, 71, 73, ... in order while the expected number of survivors, (2B + 1)
-times the product of the table densities, is at least 1, and never past
-the prime 251.  The scan strides through the residues the most selective
-table allows.  For |x| <= 200 the sieve leaves 4 of 401 x on K1 and 6 on
-K3, exactly the x of the integral points; at |x| <= 10^6 it leaves 5 and 8.
+solubility sieve of the KS form runs first: a table per modulus m, built
+once per curve and m, is one m-bit row whose bit x % m says whether the
+quartic at x has a root mod m.  An integer root is a root mod every m, so
+an x that some table rejects has no integral point.  The sieve is sized to
+the bound B: every prime power m <= 64, then the primes 67, 71, 73, ... in
+order while the expected number of survivors, (2B + 1) times the product
+of the table densities, is at least 1, and never past the prime 251; the
+moduli that reject nothing are left out.  The scan ANDs the rows, each
+repeated across the 2B + 1 bits of the box, and walks only the set bits.
+For |x| <= 200 the sieve leaves 4 of 401 x on K1 and 6 on K3, exactly the
+x of the integral points; at |x| <= 10^6 it leaves 5 and 8.
 
 ``candidates`` counts the (p, q) or x that reached the exact test.
 ``SearchSpec.covers`` is the region a bound scans completely (on KS, the set
@@ -142,9 +148,15 @@ _PRIMES = tuple(p for p in range(3, 252, 2)
 # m is also one mod every divisor of m, so the divisors would reject
 # nothing more), then the primes from 67 (K1 stops at 181 at 10^6)
 _SIEVE_MODULI = (64, 27, 25, 49) + _PRIMES[_PRIMES.index(11):]
-# KS: 4 (it rejects every pair of the classes with one of p, q even and
-# p < 0, where |e| = 3 mod 4), then the odd primes
+# KS: 4 (it rejects every pair of the class (2, 1, 1) with p < 0, where
+# |e| = 3 mod 4), then the odd primes
 _KS_MODULI = (4,) + _PRIMES
+
+
+class _Table(tuple):
+    """A sieve table mod m, rows of m-bit ints (one for a box, row s % m on
+    KS), with its density: the share of the residues it passes."""
+    density: float
 
 
 def _walk(table, key, moduli: tuple, expected: float, always: int) -> tuple:
@@ -169,22 +181,33 @@ def _plan(table, key, moduli: tuple) -> tuple:
     return tuple((m, table(key, m)) for density, m in used if density < 1)
 
 
+def _repunit(m: int, bits: int) -> int:
+    """The int with bits 0, m, 2m, ... set, at least `bits` bits long: an
+    m-bit row times it repeats the row across those bits."""
+    return ((1 << m * -(-bits // m)) - 1) // ((1 << m) - 1)
+
+
+def _set_bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 # -- KS rational-height search ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _totient_sum(n: int) -> int:
-    """phi(1) + ... + phi(n) in O(n^(3/4)) time and O(sqrt n) memory."""
-    memo = {}
-    def phi_sum(m: int) -> int:
-        if m not in memo:
-            total, d = m * (m + 1) // 2, 2
-            while d <= m:  # all d with the quotient m // d at once
-                d_end = m // (m // d) + 1
-                total -= (d_end - d) * phi_sum(m // d)
-                d = d_end
-            memo[m] = total
-        return memo[m]
-    return phi_sum(n)
+    """phi(1) + ... + phi(n) in O(n^(3/4)) time and O(sqrt n) memory, with
+    one cache for every call: an n or quotient n // d seen before is free."""
+    total, d = n * (n + 1) // 2, 2
+    while d <= n:  # all d with the quotient n // d at once
+        d_end = n // (n // d) + 1
+        total -= (d_end - d) * _totient_sum(n // d)
+        d = d_end
+    return total
 
 
 def _ks_e(p: int, q: int) -> int:
@@ -192,19 +215,13 @@ def _ks_e(p: int, q: int) -> int:
     return (((q + 4 * p) * q - 2 * p * p) * q + 4 * p**3) * q + p**4
 
 
-# the three classes (cp, cq, k) of the lemma: p = +-cp s^2, q = cq t^2, and
-# k|e| must be a square; s is odd where cp = 1, t where cq = 1
-_KS_CLASSES = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
-
-
-class _KsTable(tuple):
-    """A KS sieve table, row s % m an m-bit int, with its density: the
-    share of the class's residue pairs (s, t) mod m it passes."""
-    density: float
+# the lemma's classes (cp, cq, k) but sigma's (1, 2, 1): p = +-cp s^2,
+# q = cq t^2, and k|e| must be a square; s is odd where cp = 1, t where cq = 1
+_KS_CLASSES = ((2, 1, 1), (1, 1, 2))
 
 
 @lru_cache(maxsize=None)
-def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _KsTable:
+def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _Table:
     """Bit t % m of row s % m is set iff k*sign*e(sign*cp*s^2, cq*t^2) is a
     square mod m, for key = ((cp, cq, k), sign).  e is evaluated once per
     pair of squares (s^2, t^2) mod m."""
@@ -215,7 +232,7 @@ def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _KsTable:
     row_of = {x: sum(ts for y, ts in roots.items()
                      if k * sign * _ks_e(sign * cp * x, cq * y) % m in roots)
               for x in roots}
-    table = _KsTable(row_of[s * s % m] for s in range(m))
+    table = _Table(row_of[s * s % m] for s in range(m))
     # the class makes s odd where cp = 1 and t odd where cq = 1, which an
     # even m sees: count only those residues
     s_odd, t_odd = m % 2 == 0 and cp == 1, m % 2 == 0 and cq == 1
@@ -229,9 +246,9 @@ def _ks_table(key: Tuple[Tuple[int, int, int], int], m: int) -> _KsTable:
 def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
     """All affine rational points (z, w) on KS with height(z) <= H.
 
-    Complete within the bound by the lemma in the module docstring and the
-    sieve's necessary condition; w is determined up to sign by the exact
-    square test.
+    Complete within the bound by the lemma and the involution in the module
+    docstring and the sieve's necessary condition; w is determined up to
+    sign by the exact square test.
     """
     spec = _spec(CurveId.KS, H, partitions, jobs)
     start = time.monotonic()
@@ -242,27 +259,18 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
         s_all = range(1, isqrt(H // cp) + 1, 1 + (cp == 1))
         t_all = range(1, isqrt(H // cq) + 1, 1 + (cq == 1))
         t_bits, pairs = t_all.stop, len(s_all) * len(t_all)
-        if not pairs:
-            continue
         t_mask = sum(1 << t for t in t_all)
         for sign in (1, -1):
-            # each row repeated to t_bits bits by one repunit multiply
-            plan = [(m, rows, ((1 << m * -(-t_bits // m)) - 1) // ((1 << m) - 1))
+            plan = [(m, rows, _repunit(m, t_bits))
                     for m, rows in _walk(_ks_table, (cls, sign), _KS_MODULI, pairs, 0)]
             for s in s_all:
                 mask = t_mask
                 for m, rows, repunit in plan:
                     mask &= rows[s % m] * repunit
-                if not mask:
-                    continue
-                p = sign * cp * s * s
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    t = low.bit_length() - 1
+                for t in _set_bits(mask):
                     if gcd(s, t) != 1:
                         continue
-                    q = cq * t * t
+                    p, q = sign * cp * s * s, cq * t * t
                     e = _ks_e(p, q)
                     if p * e <= 0:
                         continue
@@ -271,22 +279,19 @@ def search_ks(H: int, partitions: int = 1, jobs: int = 1) -> SearchResult:
                     if r is not None:
                         z, w = Fraction(p, q), r / q**3
                         hits += [(z, w), (z, -w)]
+    # sigma gives the class (1, 2, 1) from (2, 1, 1), and (1, 1, 2) from itself
+    hits += [(1 / z, w / z**3) for z, w in hits if z]
     return _result(spec, start, sorted(set(hits)), 4 * _totient_sum(H) - 1,
                    candidates)
 
 
 # -- integral box search -----------------------------------------------------
 
-class _Table(bytes):
-    """A sieve table with its density, the share of the residues it passes."""
-    density: float
-
-
 @lru_cache(maxsize=None)
 def _table(curve: CurveId, m: int) -> _Table:
-    """table[x % m] = 1 iff the fibre quartic at x has a root mod m."""
+    """Row bit x % m is set iff the fibre quartic at x has a root mod m."""
     poly = defining_poly(curve)
-    table = bytearray(m)
+    row = 0
     for x in range(m):
         coeffs = poly.specialize_x(x)
         high_to_low = [coeffs.get(j, 0) % m for j in range(max(coeffs), -1, -1)]
@@ -295,14 +300,14 @@ def _table(curve: CurveId, m: int) -> _Table:
             for c in high_to_low:
                 acc = acc * y + c
             if acc % m == 0:
-                table[x] = 1
+                row |= 1 << x
                 break
-    table = _Table(table)
-    table.density = sum(table) / m
+    table = _Table((row,))
+    table.density = row.bit_count() / m
     return table
 
 
-def _sieve(curve: CurveId, B: int) -> Tuple[Tuple[int, bytes], ...]:
+def _sieve(curve: CurveId, B: int) -> Tuple[Tuple[int, _Table], ...]:
     """(m, table) for the moduli that reject some x and that a box |x| <= B
     needs, most selective first: every m <= 64, then the primes in order
     while (2B + 1) times the product of the table densities is >= 1."""
@@ -321,21 +326,15 @@ def search_integral(
         raise ValueError("integral-box search is defined for K1/K3 only")
     spec = _spec(curve, B, partitions, jobs)
     start = time.monotonic()
-    poly, sieve = defining_poly(curve), _sieve(curve, B)
-    (m0, t0), rest = sieve[0], sieve[1:]
-    hits: List[Tuple[int, int]] = []
-    candidates = 0
-    for r in (r for r in range(m0) if t0[r]):
-        for x0 in range(-B + (r + B) % m0, B + 1, m0):
-            for m, table in rest:
-                if not table[x0 % m]:
-                    break
-            else:
-                candidates += 1
-                for y0 in integer_roots(poly.specialize_x(x0)):
-                    hits.append((x0, y0))
+    poly, n = defining_poly(curve), 2 * B + 1
+    mask = (1 << n) - 1  # bit i stands for x = i - B
+    for m, (row,) in _sieve(curve, B):
+        # bit i is row bit (i - B) % m: the repeated row read from bit -B % m
+        mask &= (row * _repunit(m, n + m)) >> (-B % m)
+    hits = [(i - B, y) for i in _set_bits(mask)
+            for y in integer_roots(poly.specialize_x(i - B))]
     points = [(Fraction(x), Fraction(y)) for x, y in sorted(set(hits))]
-    return _result(spec, start, points, 2 * B + 1, candidates)
+    return _result(spec, start, points, n, mask.bit_count())
 
 
 def reconcile(found: SearchResult, table: List[PointRecord]) -> ReconcileReport:

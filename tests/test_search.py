@@ -19,7 +19,7 @@ from curveatlas.cli import BOUND_MAX
 from curveatlas.curves import (
     CurveId, defining_poly, is_integral, paper_points, rational_paper_points,
 )
-from curveatlas.kernel import integer_roots, rational_sqrt
+from curveatlas.kernel import BivarPoly, integer_roots, rational_sqrt
 from curveatlas.search import (
     ReconcileReport, SearchSpec, reconcile, search_integral, search_ks,
 )
@@ -176,6 +176,10 @@ def test_totient_sum_matches_sieve():
     sums = totient_sieve_sums(10**5)
     for n in list(range(2001)) + [10**5]:
         assert search._totient_sum(n) == sums[n]
+    # the memo is shared by every call: a repeated n is a lookup
+    misses = search._totient_sum.cache_info().misses
+    assert search._totient_sum(10**5) == sums[10**5]
+    assert search._totient_sum.cache_info().misses == misses
 
 
 # candidates of the scan before the lemma's class pairs: each search_ks(H)
@@ -190,7 +194,10 @@ def test_ks_candidates_not_above_pre_class_pair_scan(H):
 
 # -- the KS residue sieve -----------------------------------------------------
 
-KS_KEYS = [(cls, sign) for cls in search._KS_CLASSES for sign in (1, -1)]
+# the lemma's three classes: the two the scan visits and (1, 2, 1), which
+# sigma gives from (2, 1, 1)
+KS_CLASSES = ((2, 1, 1), (1, 2, 1), (1, 1, 2))
+KS_KEYS = [(cls, sign) for cls in KS_CLASSES for sign in (1, -1)]
 
 
 def ks_e(p, q):
@@ -212,8 +219,8 @@ def ks_pairs(key, H):
 
 
 def ks_walked(H):
-    """{key: the moduli search_ks(H) walks}, by the stop rule in exact
-    arithmetic."""
+    """{key: the moduli the stop rule walks for the key at H}, in exact
+    arithmetic; search_ks(H) walks those of its two classes."""
     out = {}
     for key in KS_KEYS:
         expected, walked = F(ks_pairs(key, H)), []
@@ -255,13 +262,17 @@ def test_ks_table_reads_the_residues_of_any_pair(key, s, t, m):
     assert (table[s % m] >> (t % m) & 1) == ks_residue_test(key, m, s, t)
 
 
-# (key, s, t) of each affine KS table point with p != 0
-KS_POINT_PAIRS = {F(2): (((2, 1, 1), 1), 1, 1), F(1, 2): (((1, 2, 1), 1), 1, 1),
-                  F(1): (((1, 1, 2), 1), 1, 1), F(-1): (((1, 1, 2), -1), 1, 1)}
+# (key, s, t) of each affine KS table point with p != 0 in a scanned class;
+# sigma(2) gives the point z = 1/2
+KS_POINT_PAIRS = {F(2): (((2, 1, 1), 1), 1, 1), F(1): (((1, 1, 2), 1), 1, 1),
+                  F(-1): (((1, 1, 2), -1), 1, 1)}
 
 
 def test_ks_tables_pass_the_table_points():
-    assert {pt[0] for pt in KS_POINTS} == set(KS_POINT_PAIRS) | {0}
+    assert {pt[0] for pt in KS_POINTS} == (
+        set(KS_POINT_PAIRS) | {1 / z for z in KS_POINT_PAIRS} | {0})
+    assert all(cls in search._KS_CLASSES
+               for (cls, _), _, _ in KS_POINT_PAIRS.values())
     for z, (key, s, t) in KS_POINT_PAIRS.items():
         (cp, cq, k), sign = key
         assert F(sign * cp * s * s, cq * t * t) == z
@@ -273,11 +284,12 @@ def test_ks_tables_pass_the_table_points():
 def test_ks_scan_visits_exactly_the_class_pairs(monkeypatch, H):
     # with no table, every pair of the scan reaches the gcd and sign tests:
     # then candidates counts the reduced p/q whose |p| and q are each an odd
-    # square or twice a square, with p e > 0
+    # square or twice a square, with p e > 0, in the two scanned classes:
+    # q odd (sigma gives the class (1, 2, 1), where q is even)
     monkeypatch.setattr(search, "_walk", lambda *args: ())
     allowed = ({s * s for s in range(1, isqrt(H) + 1, 2)}
                | {2 * t * t for t in range(1, isqrt(H // 2) + 1)})
-    expected = sum(1 for a in allowed for q in allowed for p in (a, -a)
+    expected = sum(1 for a in allowed for q in allowed if q % 2 for p in (a, -a)
                    if gcd(a, q) == 1 and p * ks_e(p, q) > 0)
     assert search_ks(H).candidates == expected
 
@@ -323,7 +335,32 @@ def test_ks_sieve_matches_the_class_pair_scan(H):
     res = search_ks(H)
     assert res.points() == points
     assert res.scanned == scanned
-    assert len(points) // 2 <= res.candidates <= candidates
+    # each z != 0 of a scanned class (q odd) reached the exact test
+    scanned_z = {z for z, _ in points if z and z.denominator % 2}
+    assert len(scanned_z) <= res.candidates <= candidates
+
+
+def test_ks_involution_matches_the_three_class_scan():
+    # scanning two classes and adding sigma of each hit gives the points and
+    # scanned of the scan of all three classes at every H up to 600
+    for H in range(1, 601):
+        points, scanned, _ = class_pair_scan(H)
+        res = search_ks(H)
+        assert (res.points(), res.scanned) == (points, scanned), H
+
+
+def test_ks_involution_is_exact():
+    # e(p, q) = e(q, p) as polynomials, so sigma(z, w) = (1/z, w/z^3) maps KS
+    # to itself; the tables of a class and of its image under sigma are
+    # transposes (s and t swapped) at every modulus the largest bound walks
+    P, Q = BivarPoly({(1, 0): 1}), BivarPoly({(0, 1): 1})
+    assert search._ks_e(P, Q) == search._ks_e(Q, P)
+    for ((cp, cq, k), sign), walked in ks_walked(BOUND_MAX).items():
+        for m in walked:
+            table = search._ks_table(((cp, cq, k), sign), m)
+            image = search._ks_table(((cq, cp, k), sign), m)
+            assert all((table[s] >> t & 1) == (image[t] >> s & 1)
+                       for s in range(m) for t in range(m)), (cp, cq, sign, m)
 
 
 @pytest.mark.parametrize("H", [1, 2, 200, 400, 10**4, BOUND_MAX])
@@ -448,10 +485,30 @@ def test_sieve_rejects_only_empty_fibres(curve):
     for B in (1, 50, 200, 3000, BOUND_MAX):  # the selection grows with B
         sieve = search._sieve(curve, B)
         assert sieve  # both curves have moduli that reject something
-        for m, t in sieve:  # each table alone rejects only empty fibres
-            assert all(roots[x] == [] for x in roots if not t[x % m])
-        rejected = [x for x in roots if not all(t[x % m] for m, t in sieve)]
+        for m, (row,) in sieve:  # each table alone rejects only empty fibres
+            assert all(roots[x] == [] for x in roots if not row >> x % m & 1)
+        rejected = [x for x in roots
+                    if not all(row >> x % m & 1 for m, (row,) in sieve)]
         assert len(rejected) > 0.9 * len(roots)
+
+
+def fibre_residue_test(curve, m, x):
+    """The fibre quartic at x has a root mod m, by trying every y."""
+    coeffs = defining_poly(curve).specialize_x(x)
+    return any(sum(c * y**j for j, c in coeffs.items()) % m == 0
+               for y in range(m))
+
+
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+def test_box_row_bits_equal_the_residue_test(curve):
+    # every modulus the largest bound walks, every residue, and the density
+    largest = max(m for m, _ in search._sieve(curve, BOUND_MAX))
+    for m in search._SIEVE_MODULI[:search._SIEVE_MODULI.index(largest) + 1]:
+        table = search._table(curve, m)
+        assert len(table) == 1 and 0 <= table[0] < 1 << m
+        bits = [fibre_residue_test(curve, m, x) for x in range(m)]
+        assert [table[0] >> x & 1 for x in range(m)] == bits, m
+        assert table.density == sum(bits) / m
 
 
 @pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
@@ -480,12 +537,13 @@ def sieve_steps(curve):
 
 
 def passing_count(sieve, B):
-    """How many x in [-B, B] every table passes: one byte per x, each table
-    repeated across the box and read as an integer bit mask."""
+    """How many x in [-B, B] every table passes: each row written out as a
+    string of bits, repeated across the box and read back as a bit mask."""
     n, mask = 2 * B + 1, -1
-    for m, t in sieve:
+    for m, (row,) in sieve:
+        bits = format(row, f"0{m}b")[::-1]  # bits[j] is bit j of the row
         start = -B % m
-        mask &= int.from_bytes((t * (n // m + 2))[start:start + n], "big")
+        mask &= int((bits * (n // m + 2))[start:start + n], 2)
     return bin(mask).count("1")
 
 
@@ -515,8 +573,8 @@ def test_sieve_meets_the_stop_rule_or_the_cap(curve, B):
     # every prime power <= 64 that rejects some x, then the rejecting primes
     # in order until (2B + 1) * (product of densities) < 1 or the cap
     rejecting = [m for m in search._SIEVE_MODULI
-                 if not all(search._table(curve, m))]
-    density = {m: F(sum(t), m) for m, t in search._sieve(curve, B)}
+                 if search._table(curve, m)[0] != (1 << m) - 1]
+    density = {m: F(bin(row).count("1"), m) for m, (row,) in search._sieve(curve, B)}
     primes = [m for m in rejecting if m > 64]
     used = [m for m in primes if m in density]
     assert sorted(density) == sorted([m for m in rejecting if m <= 64] + used)
@@ -557,9 +615,9 @@ def test_each_table_is_built_once():
 
 
 def test_search_tables_not_built_at_import():
-    # the sieve tables take about 5 ms per curve to build at small bounds
-    # and about 50 ms at BOUND_MAX (the KS tables about 2 ms at H = 200 and
-    # 20 ms at BOUND_MAX); start-up must not pay for them
+    # the box tables take about 10 ms per curve to build at B = 50 and about
+    # 90 ms at BOUND_MAX, the KS tables about 3 ms at H = 200 and 30 ms at
+    # BOUND_MAX (fresh processes, 2-core Xeon); start-up must not pay for them
     src = str(Path(search.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
