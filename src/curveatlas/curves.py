@@ -94,9 +94,14 @@ def _partials(c: CurveId) -> Tuple[BivarPoly, BivarPoly]:
     return f.partial_x(), f.partial_y()
 
 
+def _vanishes(f: BivarPoly, p: Point2) -> bool:
+    """f(p) == 0, read off the integer numerator: no Fraction is formed."""
+    _, ta, tb, _ = f._numerator(*p)
+    return ta == tb == 0
+
+
 def is_on_curve(c: CurveId, p: Point2) -> bool:
-    u, v = p
-    return defining_poly(c).evaluate(u, v) == 0
+    return _vanishes(defining_poly(c), p)
 
 
 def is_singular_point(c: CurveId, p: Point2) -> bool:
@@ -105,8 +110,7 @@ def is_singular_point(c: CurveId, p: Point2) -> bool:
     if not is_on_curve(c, p):
         return False
     fx, fy = _partials(c)
-    u, v = p
-    return fx.evaluate(u, v) == 0 and fy.evaluate(u, v) == 0
+    return _vanishes(fx, p) and _vanishes(fy, p)
 
 
 def _F(n, d=1):

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt, lcm
+from itertools import count
+from math import gcd, inf, isqrt, lcm
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -75,94 +76,89 @@ def rational_sqrt(x: Rational) -> Optional[Rational]:
 def integer_roots(coeffs: Mapping[int, int]) -> list[int]:
     """Sorted distinct integer roots of sum c_j y^j with integer coefficients.
 
-    Exact and complete, integers only.  Every complex root lies within an
-    integer Fujiwara bound R.  The real roots of f' bracket f into pieces on
-    which f is strictly monotone, so f has at most one root in each piece
-    and integer bisection on a sign change pins it between consecutive
-    integers; the integer roots are then the bracket endpoints k with
-    f(k) == 0.  By Gauss-Lucas the roots of every derivative also lie
-    within R, so one bound serves the whole recursion.  The linear and
-    quadratic levels need no bisection: their roots are bracketed in closed
-    form, with ``isqrt`` of the discriminant.
+    Exact and complete, integers only.  Each complex root has |r| <= R =
+    2^(1 + max_k ceil(bitlen(ceil|a_{n-k}/a_n|) / k)), Fujiwara's bound in
+    powers of two.  For p = 3, 5, 7, ... the roots of f mod p are found by
+    trying every residue; p is skipped when f' = 0 mod p at one (so when p
+    divides the content).  Else each is lifted by Newton steps mod p^2,
+    p^4, ... until it is an exact root or the modulus M passes 2R, and the
+    exact roots are returned.  Proof: an integer root is a root mod p, a
+    simple root mod p has one p-adic lift, and an integer root, |r| <= R <
+    M/2, is the symmetric residue of its lift mod M.  A repeated root is
+    repeated mod every p: if the first primes all see one, the walk runs on
+    the square-free part f / gcd(f, f') with no cap on p, and it ends, as
+    only the primes dividing its leading coefficient or its discriminant
+    see a repeated root.
     """
     coeffs = {j: c for j, c in coeffs.items() if c != 0}
     if not coeffs:
         raise ValueError("the zero polynomial has every integer as a root")
     if min(coeffs) < 0:
         raise ValueError("negative exponent")
-    low_to_high = [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
-    bound = _fujiwara_bound(low_to_high)
-    brackets = _root_brackets(low_to_high, bound)
-    return sorted(k for k, fk in brackets.items() if fk == 0)
+    f = [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+    ratios = enumerate((-(-abs(c) // abs(f[-1])) for c in reversed(f[:-1])), 1)
+    reach = 4 << max([-(-r.bit_length() // k) for k, r in ratios] + [0])  # 2R
+    for p in (3, 5, 7, 11):  # on f itself: one prime more costs less than the gcd
+        if (roots := _lifted_roots(f, p, reach)) is not None:
+            return roots
+    a, b = f, [j * c for j, c in enumerate(f)][1:]
+    while b:  # a gcd of f and f', by primitive pseudo-remainders
+        r = _pseudo_divide(a, b)[1]
+        g = gcd(*r) or 1
+        a, b = b, [u // g for u in r]
+    f = _pseudo_divide(f, a)[0]  # the square-free part, times a constant
+    return next(roots for p in count(3, 2)
+                if all(p % q for q in range(3, isqrt(p) + 1, 2))
+                and (roots := _lifted_roots(f, p, reach)) is not None)
 
 
-def _fujiwara_bound(low_to_high: list) -> int:
-    """An integer R >= 1 with |r| <= R for every complex root r:
-    2 * max(|a_{n-k}/a_n|^(1/k) for k < n, |a_0/(2 a_n)|^(1/n)),
-    with every quotient and root rounded up."""
-    n = len(low_to_high) - 1
-    lead = abs(low_to_high[n])
-    best = 0
-    for k in range(1, n + 1):
-        den = 2 * lead if k == n else lead
-        ratio = -(-abs(low_to_high[n - k]) // den)
-        r = integer_root(ratio, k)
-        if r**k < ratio:
-            r += 1
-        best = max(best, r)
-    return max(1, 2 * best)
+def roots_mod(low_to_high: list, m: int):
+    """The y in range(m), lowest first, with f(y) = 0 mod m, for f given
+    low to high and any m >= 1.  A generator: any caller may stop early."""
+    high_to_low = [c % m for c in reversed(low_to_high)]
+    for y in range(m):
+        acc = 0
+        for c in high_to_low:
+            acc = acc * y + c
+        if acc % m == 0:
+            yield y
 
 
-def _eval_int(low_to_high: list, x: int) -> int:
-    acc = 0
-    for c in reversed(low_to_high):
-        acc = acc * x + c
-    return acc
+def _lifted_roots(f: list, p: int, reach: int) -> Optional[list]:
+    """The sorted integer roots r of f (low to high) with 2|r| < reach, from
+    the roots mod the prime p; None when one of those is repeated."""
+    out = []
+    for r in roots_mod(f, p):
+        mod = p
+        while True:
+            if r > mod // 2:
+                r -= mod
+            value = slope = 0
+            for c in reversed(f):
+                value, slope = value * r + c, slope * r + value
+            if mod == p and slope % p == 0:
+                return None
+            if value == 0 or mod > reach:
+                break
+            mod *= mod
+            r = (r - value * pow(slope, -1, mod)) % mod
+        if value == 0:
+            out.append(r)
+    return sorted(out)
 
 
-def _root_brackets(low_to_high: list, bound: int) -> dict:
-    """{k: f(k)} for a set of integers k in [-bound, bound] that includes
-    -bound, bound, and floor(r) and ceil(r) of every real root r of the
-    polynomial f, all of whose roots lie within bound.  f is evaluated once
-    per point.  Up to degree 2 the roots are bracketed in closed form."""
-    if len(low_to_high) <= 3:
-        points = {-bound, bound}
-        c = low_to_high if low_to_high[-1] > 0 else [-a for a in low_to_high]
-        if len(c) == 2:
-            points.update(_floor_ceil(-c[0], c[1]))
-        elif len(c) == 3 and (disc := c[1] * c[1] - 4 * c[2] * c[0]) >= 0:
-            r = isqrt(disc)
-            if r * r == disc:
-                points.update(_floor_ceil(-c[1] - r, 2 * c[2]))
-                points.update(_floor_ceil(-c[1] + r, 2 * c[2]))
-            else:
-                # sqrt(disc) is irrational and lies in (r, r + 1)
-                for low in ((-c[1] - r - 1) // (2 * c[2]), (-c[1] + r) // (2 * c[2])):
-                    points.update((low, low + 1))
-        return {k: _eval_int(low_to_high, k) for k in points}
-    derivative = [j * c for j, c in enumerate(low_to_high)][1:]
-    points = sorted(_root_brackets(derivative, bound))
-    out = {k: _eval_int(low_to_high, k) for k in points}
-    for a, b in zip(points, points[1:]):
-        # with b - a >= 2 no root of f' lies in (a, b): f is strictly monotone
-        fa, fb = out[a], out[b]
-        if b - a < 2 or fa == 0 or fb == 0 or (fa > 0) == (fb > 0):
-            continue
-        lo, hi, flo, fhi = a, b, fa, fb
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            fm = _eval_int(low_to_high, mid)
-            if (fm > 0) == (fa > 0):
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        out[lo], out[hi] = flo, fhi
-    return out
-
-
-def _floor_ceil(num: int, den: int) -> tuple:
-    """floor and ceil of num / den, for den >= 1."""
-    return num // den, -(-num // den)
+def _pseudo_divide(a: list, b: list) -> tuple:
+    """(q, r), low to high, with c*a = q*b + r for an integer c != 0 and r
+    shorter than b, without trailing zeros."""
+    q = [0] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c, k = a[-1], len(a) - len(b)
+        q = [b[-1] * u for u in q]
+        q[k] += c
+        a = [b[-1] * u - (c * b[i - k] if i >= k else 0) for i, u in enumerate(a)]
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
 
 
 def band_solutions(m: int, q: int, c: int, ex: int, ey: int) -> list[tuple[int, int]]:
@@ -451,16 +447,20 @@ class BivarPoly:
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
         """p(x, y), exact, in the ring of the inputs: a Fraction at int or
         Fraction inputs, a QuadRat when either input is a QuadRat, and a
-        BivarPoly (the composition) when either input is a BivarPoly.
-
-        At field inputs x = (A + B*sqrt(m))/q and y = (C + D*sqrt(m))/s, with
-        B = D = 0 for rationals, the sum over c*L * (A + B*sqrt(m))^i *
-        q^(dx-i) * (C + D*sqrt(m))^j * s^(dy-j) is taken in integers (pairs
-        of them over Z[sqrt(m)]), and one Fraction per component is formed
-        at the end, over L * q^dx * s^dy: no gcd until then.
-        """
+        BivarPoly (the composition) when either input is a BivarPoly."""
         if isinstance(x, BivarPoly) or isinstance(y, BivarPoly):
             return self._compose(x, y)
+        m, ta, tb, den = self._numerator(x, y)
+        if m is None:
+            return Fraction(ta, den)
+        return QuadRat(m, Fraction(ta, den), Fraction(tb, den))
+
+    def _numerator(self, x: FieldElement, y: FieldElement) -> tuple:
+        """(m, ta, tb, den) in integers, den >= 1, with p(x, y) = (ta +
+        tb*sqrt(m)) / den; m = None and tb = 0 at rational x and y.  With
+        x = (A + B*sqrt(m))/q and y = (C + D*sqrt(m))/s, den = L * q^dx * s^dy
+        and the sum over c*L * (A + B*sqrt(m))^i * q^(dx-i) * (C +
+        D*sqrt(m))^j * s^(dy-j) is taken in Z[sqrt(m)]: no gcd."""
         a, b, q, mx = _split(x)
         c, d, s, my = _split(y)
         if mx and my and mx != my:
@@ -473,7 +473,7 @@ class BivarPoly:
             total = 0
             for j, row in rows:
                 total += py[j] * sum([k * px[i] for i, k in row])
-            return Fraction(total, scale * qk * sk)
+            return None, total, 0, scale * qk * sk
         px, qk = _scaled_quad_powers(a, b, m, q, dx)
         py, sk = _scaled_quad_powers(c, d, m, s, dy)
         ta = tb = 0
@@ -483,8 +483,7 @@ class BivarPoly:
             va, vb = py[j]
             ta += ua * va + m * ub * vb
             tb += ua * vb + ub * va
-        den = scale * qk * sk
-        return QuadRat(m, Fraction(ta, den), Fraction(tb, den))
+        return m, ta, tb, scale * qk * sk
 
     def _compose(self, x, y) -> "BivarPoly":
         """p(x, y) by the ring operations: power tables, then a sum over

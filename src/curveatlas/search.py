@@ -44,12 +44,13 @@ n(n+1)/2 = sum_{d>=1} Phi(n // d).
 
 Integral search: for each integer x in [-B, B] the curve polynomial
 specializes to a monic (in y) integer quartic whose integer roots are
-extracted exactly by ``integer_roots``: the real roots of the derivatives
-bracket the quartic into monotone pieces, and integer bisection inside each
-piece, within an integer Fujiwara bound, pins every root.  A local
-solubility sieve of the KS form runs first: a table per modulus m, built
-once per curve and m, is one m-bit row whose bit x % m says whether the
-quartic at x has a root mod m.  An integer root is a root mod every m, so
+extracted exactly by ``integer_roots``: its roots mod a small prime at
+which they are simple, lifted by Newton steps past twice a root bound and
+kept where they are exact roots (on the square-free part at K3's double
+point x = 1).  A local solubility sieve of the KS form runs first: a table
+per modulus m, built once per curve and m, is one m-bit row whose bit
+x % m says whether the quartic at x has a root mod m, by ``roots_mod``,
+the residue test of the lift.  An integer root is a root mod every m, so
 an x that some table rejects has no integral point.  The sieve is sized to
 the bound B: every prime power m <= 64, then the primes 67, 71, 73, ... in
 order while the expected number of survivors, (2B + 1) times the product
@@ -77,7 +78,7 @@ from typing import List, Tuple
 
 from .curves import (CurveId, PointRecord, Provenance, defining_poly,
                      is_integral, is_on_curve)
-from .kernel import integer_roots, rational_sqrt
+from .kernel import integer_roots, rational_sqrt, roots_mod
 
 
 @dataclass(frozen=True)
@@ -294,14 +295,9 @@ def _table(curve: CurveId, m: int) -> _Table:
     row = 0
     for x in range(m):
         coeffs = poly.specialize_x(x)
-        high_to_low = [coeffs.get(j, 0) % m for j in range(max(coeffs), -1, -1)]
-        for y in range(m):
-            acc = 0
-            for c in high_to_low:
-                acc = acc * y + c
-            if acc % m == 0:
-                row |= 1 << x
-                break
+        fibre = [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+        if next(roots_mod(fibre, m), None) is not None:
+            row |= 1 << x
     table = _Table((row,))
     table.density = row.bit_count() / m
     return table

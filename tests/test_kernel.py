@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from curveatlas.curves import CurveId, defining_poly
 from curveatlas.kernel import (
     BivarPoly, MixedRadicandError, QuadRat, band_solutions, integer_root,
-    _root_brackets, integer_roots, integer_sqrt, is_squarefree, rational_sqrt,
+    integer_roots, integer_sqrt, is_squarefree, rational_sqrt,
 )
 
 
@@ -169,25 +169,14 @@ class TestIntegerRoots:
             integer_roots({3: 0})
 
 
-def real_root_floors_and_ceils(low_to_high):
-    """{floor(r), ceil(r)} over the real roots r, by sympy."""
-    poly = sympy.Poly(list(reversed(low_to_high)), _Y)
-    out = set()
-    for r in poly.real_roots():
-        out |= {int(sympy.floor(r)), int(sympy.ceiling(r))}
-    return out
-
-
 def low_degree_cases():
-    """(low_to_high, bound) of degree 0 to 2 with double roots, perfect-square
-    and non-square discriminants, negative leading coefficients and roots
-    at +-bound."""
-    cases = [([5], 3), ([-7], 1), ([-6, 3], 2), ([6, -3], 2), ([3, 2], 2),
-             ([-3, -2], 2), ([-4, 1], 4), ([4, 1], 4), ([-4, 0, 1], 2),
-             ([4, 0, -1], 2), ([16, -8, 1], 4), ([-16, 8, -1], 4),
-             ([9, 6, 1], 3), ([-3, 1, 2], 2), ([3, -5, 2], 2), ([-2, 0, 1], 2),
-             ([2, 0, -1], 2), ([-1, -1, 1], 2), ([1, 1, -1], 2), ([1, 1, 1], 2),
-             ([-3, 0, 1], 2), ([-10, 0, 1], 4), ([-5, 0, 1], 3)]
+    """low_to_high of degree 0 to 2 with double roots, perfect-square and
+    non-square discriminants, negative leading coefficients and rational
+    roots that are not integers."""
+    cases = [[5], [-7], [-6, 3], [6, -3], [3, 2], [-3, -2], [-4, 1], [4, 1],
+             [-4, 0, 1], [4, 0, -1], [16, -8, 1], [-16, 8, -1], [9, 6, 1],
+             [-3, 1, 2], [3, -5, 2], [-2, 0, 1], [2, 0, -1], [-1, -1, 1],
+             [1, 1, -1], [1, 1, 1], [-3, 0, 1], [-10, 0, 1], [-5, 0, 1]]
     rng = random.Random(24)
     for _ in range(400):
         degree = rng.randint(1, 2)
@@ -203,20 +192,41 @@ def low_degree_cases():
             coeffs = [int(c) for c in reversed(poly.all_coeffs())]
         else:
             coeffs = [rng.randint(-10**4, 10**4) for _ in range(degree)] + [lead]
-        roots = sympy.Poly(list(reversed(coeffs)), _Y).all_roots()
-        bound = max([1] + [int(sympy.ceiling(sympy.Abs(r))) for r in roots])
-        cases.append((coeffs, bound))
+        cases.append(coeffs)
     return cases
 
 
-def test_low_degree_brackets_are_closed_form():
-    # degrees 0-2 are bracketed with no bisection: the points are exactly
-    # +-bound and the floor and ceil of each real root, each with f(k)
-    for low_to_high, bound in low_degree_cases():
-        got = _root_brackets(low_to_high, bound)
-        assert set(got) == {-bound, bound} | real_root_floors_and_ceils(low_to_high)
-        for k, fk in got.items():
-            assert fk == sum(c * k**j for j, c in enumerate(low_to_high))
+def test_low_degree_roots_match_sympy():
+    for low_to_high in low_degree_cases():
+        coeffs = {j: c for j, c in enumerate(low_to_high) if c}
+        assert integer_roots(coeffs) == sympy_integer_roots(coeffs), low_to_high
+
+
+# -- the lift's certificate: primes with simple roots, a bound, an exact test ---
+
+def test_roots_that_meet_mod_every_small_prime():
+    # 7 and 7 + P are congruent mod every odd prime up to 47, so the first
+    # primes all see a double root, and 7 + P (about 3e17) needs every lift
+    # step mod 53
+    P = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47
+    assert integer_roots({0: 7 * (7 + P), 1: -(14 + P), 2: 1}) == [7, 7 + P]
+
+
+def test_repeated_roots_go_through_the_square_free_part():
+    assert integer_roots({0: 45, 1: -21, 2: -1, 3: 1}) == [-5, 3]  # (y-3)^2 (y+5)
+    # K3 at x = 1 is ((y - 2)(y - 6))^2: the double point (1, 2) and (1, 6)
+    assert integer_roots(defining_poly(CurveId.K3).specialize_x(1)) == [2, 6]
+
+
+def test_content_divisible_by_the_first_prime():
+    assert integer_roots({0: 6, 1: -9, 2: 3}) == [1, 2]
+
+
+@pytest.mark.parametrize("curve", [CurveId.K1, CurveId.K3])
+def test_far_fibres_match_sympy(curve):
+    for x0 in (10**6, -10**6):
+        coeffs = defining_poly(curve).specialize_x(x0)
+        assert integer_roots(coeffs) == sympy_integer_roots(coeffs), x0
 
 
 quad_elems = st.builds(
