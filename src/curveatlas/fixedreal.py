@@ -4,8 +4,17 @@ A FixedReal stores value = mantissa * 2**-prec together with errbits, a
 conservative bound (in units of 2**-prec) on the distance between the stored
 value and the true value it approximates.  Every operation propagates the
 bound, so |stored - true| <= errbits * 2**-prec holds whenever it held for
-the inputs.  The bounds are deliberately generous: correctness of the
-downstream integer-recognition steps depends on them being sound, not tight.
+the inputs, however wide the input intervals are: each one-argument
+function and the divisor are bounded on the whole interval (see their
+docstrings), not by the derivative at the stored value alone.  The bounds
+are deliberately generous: correctness of the downstream
+integer-recognition steps depends on them being sound, not tight.
+
+Products have one rule, the integer step _mul on bare (mantissa, errbits)
+pairs: FixedReal.__mul__ wraps it, and the long q-product loops of
+modular run on it directly, building a FixedReal only for the result.
+Rendering is integer arithmetic too: decimal() rounds the value half to
+even and every printed radius is rounded up, with no Fraction.
 
 Only same-precision operands combine; mixing precisions is a usage error.
 """
@@ -14,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Tuple, Union
 
 from .kernel import integer_root
 
@@ -37,20 +46,41 @@ def _rshift_round(n: int, k: int) -> int:
     return -((-n + half) >> k)
 
 
-def _scientific(x: Fraction, digits: int) -> str:
-    """x as d.ddd...e+XX with `digits` significant digits and |x| rounded
-    up, so a rendered error radius is still a bound.  Exact at every
-    magnitude, where float(x) overflows past about 1.8e308."""
-    if x == 0:
+def _mul(am: int, ae: int, bm: int, be: int, P: int) -> Tuple[int, int]:
+    """(mantissa, errbits) of the product of am and bm, with radii ae and
+    be, all in units of 2**-P: the product rounded to nearest at P bits,
+    and |delta(ab)| <= |b| da + |a| db + da db + rounding, with
+    floor(|v|) + 1 as an integer ceiling for |v|.
+
+    The one product rule: FixedReal.__mul__ wraps it, and modular's
+    q-product loops run on it with bare ints."""
+    return (_rshift_round(am * bm, P),
+            2 + ae * ((abs(bm) >> P) + 1) + be * ((abs(am) >> P) + 1)
+            + ((ae * be) >> P))
+
+
+def _scientific(n: int, prec: int, digits: int) -> str:
+    """n * 2**-prec as d.ddd...e+XX with `digits` significant digits and
+    the magnitude rounded up, so a rendered error radius is still a bound.
+    Exact integer arithmetic at every magnitude, where float overflows past
+    about 1.8e308."""
+    if n == 0:
         return f"{0:.{digits - 1}e}"
-    sign, x = "-" if x < 0 else "", abs(x)
-    # within 1 of floor(log10(x)), then exact
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
-    while Fraction(10) ** e > x:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    m = str(-(-x * Fraction(10) ** (digits - 1 - e) // 1))
+    sign, n = "-" if n < 0 else "", abs(n)
+    lo = 10 ** (digits - 1)
+    # e = floor(log10(n * 2**-prec)): a guess within 1, then exact, as the
+    # e that puts n * 2**-prec * 10**(digits - 1 - e) in [lo, 10 * lo)
+    e = (n.bit_length() - 1 - prec) * 30103 // 100000
+    while True:
+        k = digits - 1 - e
+        num, den = (n * 10**k, 1 << prec) if k >= 0 else (n, 10**-k << prec)
+        if num < lo * den:
+            e -= 1
+        elif num >= 10 * lo * den:
+            e += 1
+        else:
+            break
+    m = str(-(-num // den))
     if len(m) > digits:  # rounded up to 10^digits
         m, e = m[:digits], e + 1
     return f"{sign}{m[0]}.{m[1:]}e{e:+03d}"
@@ -97,16 +127,20 @@ class FixedReal:
         return Fraction(self.errbits, 1 << self.prec)
 
     def decimal(self, digits: int = 30) -> str:
-        """Decimal rendering with an explicit error radius."""
-        v = self.to_fraction()
-        scaled = round(v * 10**digits)
-        s = f"{abs(scaled):0{digits + 1}d}"
-        sign = "-" if scaled < 0 else ""
+        """Decimal rendering with an explicit error radius: the value
+        rounded half to even to `digits` places, the radius rounded up to
+        four significant digits."""
+        P = self.prec
+        q, r = divmod(self.mantissa * 10**digits, 1 << P)
+        if 2 * r > 1 << P or (2 * r == 1 << P and q & 1):
+            q += 1
+        s = f"{abs(q):0{digits + 1}d}"
+        sign = "-" if q < 0 else ""
         val = f"{sign}{s[:-digits]}.{s[-digits:]}"
-        return f"{val} (+/- {_scientific(self.error_radius(), 4)})"
+        return f"{val} (+/- {_scientific(self.errbits, P, 4)})"
 
     def __repr__(self):
-        value = _scientific(self.to_fraction(), 12)
+        value = _scientific(self.mantissa, self.prec, 12)
         return f"FixedReal({value}, prec={self.prec}, err={self.errbits})"
 
     # -- helpers ------------------------------------------------------------
@@ -148,15 +182,7 @@ class FixedReal:
     def __mul__(self, other):
         o = self._chk(other)
         P = self.prec
-        m = _rshift_round(self.mantissa * o.mantissa, P)
-        # |delta(xy)| <= |y| dx + |x| dy + dx dy + rounding, with
-        # floor(|v|) + 1 as an integer ceiling for |v|.
-        err = (
-            2
-            + self.errbits * ((abs(o.mantissa) >> P) + 1)
-            + o.errbits * ((abs(self.mantissa) >> P) + 1)
-            + ((self.errbits * o.errbits) >> P)
-        )
+        m, err = _mul(self.mantissa, self.errbits, o.mantissa, o.errbits, P)
         return FixedReal(m, P, err)
 
     __rmul__ = __mul__
@@ -175,39 +201,64 @@ class FixedReal:
         if 2 * ra >= am:
             qa += 1
         q = sign * qa
-        # |delta(x/y)| <= dx/|y| + |x/y^2| dy + rounding; |x/y^2| = |q|/|my|.
+        # For |t - x| <= dx and |s - y| <= dy < |y|:
+        #   t/s - x/y = (t - x)/s + (x/y)(y - s)/s,
+        # so |t/s - x/y| <= (dx + |x/y| dy)/(|y| - dy): the divisor's radius
+        # comes off its magnitude, as s may lie at the end nearer zero.  In
+        # units, den = |my| - dy and |x/y| <= |q| + 1/2, and
+        # floor(|q|/den) + 1 >= (|q| + 1)/den; 2 covers the rounding.
+        den = am - o.errbits
         err = (
             2
-            + ((self.errbits << P) + am - 1) // am
-            + o.errbits * ((abs(q) // am) + 1)
+            + ((self.errbits << P) + den - 1) // den
+            + o.errbits * ((abs(q) // den) + 1)
         )
         return FixedReal(q, P, err)
 
     def sqrt(self) -> "FixedReal":
+        """sqrt(x), with a radius sound for every t in [x - dx, x + dx].
+
+        With L = x - dx > 0, |sqrt(t) - sqrt(x)| = |t - x|/(sqrt(t) +
+        sqrt(x)) <= dx/(2 sqrt(L)): the derivative at the end nearer zero.
+        sqrt(L) = sqrt(x) sqrt(1 - u) >= sqrt(x)(1 - u) with u = dx/x, so
+        no second root is needed.  Where the interval reaches 0 (L <= 0,
+        and a negative x within its radius is taken as 0),
+        |sqrt(t) - sqrt(x)| <= sqrt(|t - x|) <= sqrt(dx).  Each bound is
+        rounded up, plus 2 for the floor of the stored root."""
         P = self.prec
-        m = self.mantissa
+        m, e = self.mantissa, self.errbits
         if m < 0:
-            if -m <= self.errbits:
+            if -m <= e:
                 m = 0
             else:
                 raise ValueError("sqrt of a negative value")
         r = isqrt(m << P)
-        if r == 0:
-            err = isqrt(self.errbits << P) + 2
+        if m <= e:
+            err = isqrt(e << P) + 2
         else:
-            err = 2 + (self.errbits << P) // (2 * r) + 1
+            err = 2 + (e * m << P) // (2 * r * (m - e)) + 1
         return FixedReal(r, P, err)
 
     def cbrt(self) -> "FixedReal":
+        """The real cube root of x, with a radius sound for every t in
+        [x - dx, x + dx].
+
+        With L = |x| - dx > 0, t has x's sign and |t| >= L, so
+        |cbrt(t) - cbrt(x)| = |t - x|/(cbrt(t)^2 + cbrt(t)cbrt(x) +
+        cbrt(x)^2) <= dx/(3 L^(2/3)): the derivative at the end nearer
+        zero, where L^(2/3) >= |x|^(2/3)(1 - u) with u = dx/|x|.  Where the
+        interval reaches 0 (L <= 0), t may have either sign, and
+        |r - cbrt(t)| <= r + cbrt(|x| + dx) for the stored root r >= 0 of
+        |x|.  Each bound is rounded up, plus 2 for the floor of the stored
+        root."""
         P = self.prec
-        m = self.mantissa
-        neg = m < 0
-        r = integer_root(abs(m) << (2 * P), 3)
-        if r == 0:
-            err = integer_root(self.errbits << (2 * P), 3) + 2
+        m, e = abs(self.mantissa), self.errbits
+        r = integer_root(m << (2 * P), 3)
+        if m <= e:
+            err = r + integer_root((m + e) << (2 * P), 3) + 2
         else:
-            err = 2 + (self.errbits << (2 * P)) // (3 * r * r) + 1
-        return FixedReal(-r if neg else r, P, err)
+            err = 2 + (e * m << (2 * P)) // (3 * r * r * (m - e)) + 1
+        return FixedReal(-r if self.mantissa < 0 else r, P, err)
 
     def pow_int(self, e: int) -> "FixedReal":
         if e < 0:
@@ -268,14 +319,24 @@ def pi(prec: int) -> FixedReal:
 
 
 def exp(x: FixedReal) -> "FixedReal":
-    """e**x, correctly rounded to within a couple of ulps, with the input's
-    own uncertainty propagated through the derivative."""
+    """e**x, correctly rounded to within a couple of ulps at every x, with a
+    radius sound for every t in [x - dx, x + dx].
+
+    e is increasing and convex, so |e^t - e^x| <= e^(x + dx) dx: the
+    derivative at the upper end.  With dx = n + f 2**-P, 0 <= f < 2**P,
+    e^(x + dx) <= e^x 3^n (1 + 2 f 2**-P), as e^u <= 1 + (e - 1)u on
+    [0, 1] by convexity, and e^x <= (mr + 2) 2**-P for the computed mr.
+    Like the value's own size with |x|, the bound's cost grows with dx."""
     P = x.prec
     m = x.mantissa
     # range reduction: r = x / 2**k with |r| < 1/2
     int_bits = max(0, (abs(m) >> P).bit_length())
     k = int_bits + 1
     Q = P + 64 + 2 * k
+    if m > 0 and int_bits > 4:
+        # the squarings carry the series' error up with e^x, which for
+        # x >= 16 outgrows the 64 guard bits; log2(e^x) < 3 << (int_bits - 1)
+        Q += 3 << (int_bits - 1)
     r = m << (Q - P - k)  # r at precision Q
     # Taylor series with exact integer ops (floor divisions)
     one = 1 << Q
@@ -290,7 +351,10 @@ def exp(x: FixedReal) -> "FixedReal":
     for _ in range(k):
         total = _rshift_round(total * total, Q)
     mr = _rshift_round(total, Q - P)
-    err = 2 + x.errbits * ((abs(mr) >> P) + 1)
+    n, f = divmod(x.errbits, 1 << P)
+    hi = (mr + 2) * 3**n
+    hi += (2 * f * hi >> P) + 1
+    err = 2 + x.errbits * ((hi >> P) + 1)
     return FixedReal(mr, P, err)
 
 

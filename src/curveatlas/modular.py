@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import fixedreal as fr
 from .curves import CurveId, is_integral, is_on_curve, paper_points
-from .fixedreal import FixedReal, _rshift_round
+from .fixedreal import FixedReal, _mul, _rshift_round
 from .kernel import band_solutions, integer_root, is_squarefree
 from .maps import cover_k3_to_k6, pair_k1_to_k2
 
@@ -83,16 +83,19 @@ class ModularContext:
 
 
 def schlafli_w(ctx: ModularContext) -> FixedReal:
-    """W = 4 * t^(1/8) * prod_{n=1..N} (1 + (-1)^n t^n)^3, positive."""
+    """W = 4 * t^(1/8) * prod_{n=1..N} (1 + (-1)^n t^n)^3, positive.
+
+    The product runs on bare (mantissa, errbits) ints through fixedreal's
+    one product step; each factor 1 +- t^n carries t^n's radius."""
     P = ctx.prec
-    one = FixedReal.from_int(1, P)
-    acc = one
-    tn = ctx.t
+    one = 1 << P
+    t, te = ctx.t.mantissa, ctx.t.errbits
+    acc, acc_e = one, 0
+    tn, tn_e = t, te
     for n in range(1, ctx.n_terms + 1):
-        factor = one + tn if n % 2 == 0 else one - tn
-        acc = acc * factor
-        tn = tn * ctx.t
-    w = 4 * ctx.t8 * acc.pow_int(3)
+        acc, acc_e = _mul(acc, acc_e, one + tn if n % 2 == 0 else one - tn, tn_e, P)
+        tn, tn_e = _mul(tn, tn_e, t, te, P)
+    w = 4 * ctx.t8 * FixedReal(acc, P, acc_e).pow_int(3)
     # fold the truncation tail (< 2**-(P+8) relative) into the error bound
     w.errbits += (abs(w.mantissa) >> (P + 7)) + 2
     return w
@@ -329,20 +332,23 @@ def weber_product_selftest(prec: int) -> FixedReal:
     n_terms = math.ceil((P + 16) * math.log(2) / (2 * math.pi)) + 2
     piv = fr.pi(P)
     q = fr.exp(-piv)
-    one = FixedReal.from_int(1, P)
     r2 = fr.sqrt2(P)
     s0 = s1 = fr.exp(piv / 24)     # q^(-1/24)
     s2 = r2 * fr.exp(-piv / 12)    # sqrt2 * q^(1/12)
-    q2 = q.pow_int(2)
-    q_odd = q                       # q^(2n-1)
-    q_even = q2                     # q^(2n)
+    # the three products on bare (mantissa, errbits) ints, as in schlafli_w
+    one = 1 << P
+    m0, e0, m1, e1 = s0.mantissa, s0.errbits, s1.mantissa, s1.errbits
+    m2, e2 = s2.mantissa, s2.errbits
+    q2, q2e = _mul(q.mantissa, q.errbits, q.mantissa, q.errbits, P)
+    q_odd, q_odd_e = q.mantissa, q.errbits     # q^(2n-1)
+    q_even, q_even_e = q2, q2e                 # q^(2n)
     for _ in range(n_terms):
-        s0 = s0 * (one + q_odd)
-        s1 = s1 * (one - q_odd)
-        s2 = s2 * (one + q_even)
-        q_odd = q_odd * q2
-        q_even = q_even * q2
-    return s0 * s1 * s2 - r2
+        m0, e0 = _mul(m0, e0, one + q_odd, q_odd_e, P)
+        m1, e1 = _mul(m1, e1, one - q_odd, q_odd_e, P)
+        m2, e2 = _mul(m2, e2, one + q_even, q_even_e, P)
+        q_odd, q_odd_e = _mul(q_odd, q_odd_e, q2, q2e, P)
+        q_even, q_even_e = _mul(q_even, q_even_e, q2, q2e, P)
+    return FixedReal(m0, P, e0) * FixedReal(m1, P, e1) * FixedReal(m2, P, e2) - r2
 
 
 def paper_labels(d: int) -> Tuple[Optional[Tuple[int, int]], ...]:

@@ -349,6 +349,62 @@ class TestSelftest:
         assert abs(st.to_fraction()) < F(1, 1 << (p - 8))
 
 
+def _ref_schlafli_w(ctx):
+    """schlafli_w's loop as it was written on FixedReal objects."""
+    P = ctx.prec
+    one = FixedReal.from_int(1, P)
+    acc = one
+    tn = ctx.t
+    for n in range(1, ctx.n_terms + 1):
+        factor = one + tn if n % 2 == 0 else one - tn
+        acc = acc * factor
+        tn = tn * ctx.t
+    w = 4 * ctx.t8 * acc.pow_int(3)
+    w.errbits += (abs(w.mantissa) >> (P + 7)) + 2
+    return w
+
+
+def _ref_weber_product_selftest(prec):
+    """weber_product_selftest's three products on FixedReal objects."""
+    import math
+    from curveatlas import fixedreal as fr
+    P = prec
+    n_terms = math.ceil((P + 16) * math.log(2) / (2 * math.pi)) + 2
+    piv = fr.pi(P)
+    q = fr.exp(-piv)
+    one = FixedReal.from_int(1, P)
+    r2 = fr.sqrt2(P)
+    s0 = s1 = fr.exp(piv / 24)
+    s2 = r2 * fr.exp(-piv / 12)
+    q2 = q.pow_int(2)
+    q_odd = q
+    q_even = q2
+    for _ in range(n_terms):
+        s0 = s0 * (one + q_odd)
+        s1 = s1 * (one - q_odd)
+        s2 = s2 * (one + q_even)
+        q_odd = q_odd * q2
+        q_even = q_even * q2
+    return s0 * s1 * s2 - r2
+
+
+class TestIntegerLoopsMatchObjectLoops:
+    """The q-products on bare (mantissa, errbits) ints give the very bits
+    of the same loops on FixedReal objects."""
+
+    @pytest.mark.parametrize("prec", [None, 8, 16, 48, 256, 2048])
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_schlafli_w(self, d, prec):
+        ctx = ModularContext.create(d, prec=prec)
+        w, ref = schlafli_w(ctx), _ref_schlafli_w(ctx)
+        assert (w.prec, w.mantissa, w.errbits) == (ref.prec, ref.mantissa, ref.errbits)
+
+    @pytest.mark.parametrize("prec", [8, 16, 48, 64, 128, 256, 2048])
+    def test_weber_product_selftest(self, prec):
+        st, ref = weber_product_selftest(prec), _ref_weber_product_selftest(prec)
+        assert (st.prec, st.mantissa, st.errbits) == (ref.prec, ref.mantissa, ref.errbits)
+
+
 def test_paper_labels():
     assert paper_labels(163) == ((-17, 150), (2, 6))
     assert paper_labels(3) == ((3, 6), (0, 0))
